@@ -55,7 +55,6 @@ from .model import (
     pendulum_reduce,
     quadratic_remainder_bound,
     shift_to_zero,
-    system_matrix,
     system_matrix_entries,
 )
 from .periodic_signal import (

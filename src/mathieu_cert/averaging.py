@@ -170,33 +170,6 @@ class TransformedSystem:
         """U1 + U2(t,mu) + mu^2 U3(t,mu)."""
         return self.u1 + self.u2_at(t) + self.mu ** 2 * self.u3_at(t)
 
-    def mu_u_entries(self):
-        """Fast scalar closure returning the entries of mu*U(t, mu)."""
-        mu = self.mu
-        a_fn = self.tr.a.eval_fn()
-        b_fn = self.tr.b.eval_fn()
-        phi_fn = self.lin.phi_hat.eval_fn()
-        alpha = self.lin.alpha
-        beta_hat = self.lin.beta_hat
-        m = self.mean_phi_a
-        u11_0, u12_0 = self.u1[0]
-        u21_0, u22_0 = self.u1[1]
-        mu2 = mu * mu
-
-        def entries(t: float):
-            a = a_fn(t)
-            b = b_fn(t)
-            phi = phi_fn(t)
-            denom = 1.0 + mu * a
-            a2 = a * a
-            m11 = mu * u11_0
-            m12 = mu * (u12_0 - mu * a + mu2 * a2 / denom)
-            m21 = mu * (u21_0 - alpha * b - mu * beta_hat * a - phi * a + m)
-            m22 = mu * (u22_0 + (mu * a - 1.0) * b - mu2 * a2 * b / denom)
-            return m11, m12, m21, m22
-
-        return entries
-
 
 def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> TransformedSystem:
     """Assemble the transformed system at parameter mu.

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .averaging import AveragingTransform, TransformedSystem, build_u1, build_u2_u3
 from .floquet_lyapunov import solve_constant_lyapunov, spectral_norm_2x2, sym_eig_bounds
 from .model import LinearizedSystem
-from .periodic_signal import sup_norm
+from .periodic_signal import cumulative_simpson, sup_norm
 
 __all__ = [
     "BoundChain",
@@ -128,7 +127,7 @@ def u2_cumulative_nodes(ts: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, int_0^t U2(s,mu) ds at the nodes) on the transform grid."""
     nodes = ts.tr.grid.nodes
     u2 = ts.u2_at(nodes)
-    iu2 = cumulative_simpson(u2, dx=ts.tr.grid.step, axis=0, initial=0.0)
+    iu2 = cumulative_simpson(u2, ts.tr.grid.step)
     return nodes, iu2
 
 
@@ -171,7 +170,7 @@ def eq19_sup(ts: TransformedSystem, h1: np.ndarray) -> float:
     Below 1/4 for all mu <= mu1; this is the quantity the L1 bound caps.
     """
     _, _, _, corr = _c_nodes(ts, h1)
-    return float(ts.mu * max(spectral_norm_2x2(m) for m in corr))
+    return float(ts.mu * np.max(spectral_norm_2x2(corr)))
 
 
 def script_c_positivity(

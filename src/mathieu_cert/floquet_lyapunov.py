@@ -36,10 +36,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .averaging import AveragingTransform, build_u2_u3, u1_is_hurwitz
 from .model import LinearizedSystem, system_matrix_entries
+from .periodic_signal import cumulative_simpson
 
 __all__ = [
     "Matrizant",
@@ -69,14 +69,19 @@ class UnstableSystemError(RuntimeError):
 # small dense helpers
 
 
-def spectral_norm_2x2(m) -> float:
-    """Operator 2-norm via the closed-form largest Gram eigenvalue."""
+def spectral_norm_2x2(m):
+    """Operator 2-norm via the closed-form largest Gram eigenvalue.
+
+    Vectorized over leading axes: a (2, 2) input gives a float, a
+    (n, 2, 2) input an array of n norms.
+    """
     m = np.asarray(m, dtype=float)
-    g11 = m[0, 0] ** 2 + m[1, 0] ** 2
-    g22 = m[0, 1] ** 2 + m[1, 1] ** 2
-    g12 = m[0, 0] * m[0, 1] + m[1, 0] * m[1, 1]
-    lam = 0.5 * (g11 + g22 + math.hypot(g11 - g22, 2.0 * g12))
-    return math.sqrt(max(lam, 0.0))
+    g11 = m[..., 0, 0] ** 2 + m[..., 1, 0] ** 2
+    g22 = m[..., 0, 1] ** 2 + m[..., 1, 1] ** 2
+    g12 = m[..., 0, 0] * m[..., 0, 1] + m[..., 1, 0] * m[..., 1, 1]
+    lam = 0.5 * (g11 + g22 + np.hypot(g11 - g22, 2.0 * g12))
+    out = np.sqrt(np.maximum(lam, 0.0))
+    return out if out.ndim else float(out)
 
 
 def sym_eig_bounds(h11, h12, h22, det=None):
@@ -133,135 +138,50 @@ class Matrizant:
         return self.Y[-1]
 
 
-def _entries_fn(A):
-    """Normalize a matrix callable to a flat 4-tuple closure."""
-    probe = A(0.0)
-    if isinstance(probe, tuple) and len(probe) == 4:
-        return A
+def deviation_matrizant(W, T: float, n_steps: int = 4096):
+    """Deviation Z = Y - I of the classical RK4 matrizant of v' = W(t) v.
 
-    def entries(t: float):
-        m = np.asarray(A(t), dtype=float)
-        return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    ``W`` maps times of shape (m,) to matrices of shape (m, 2, 2), and a
+    scalar time to a (2, 2) matrix; a constant (2, 2) result is broadcast.
+    For a linear system one RK4 step of size h = T/n_steps is the fixed
+    matrix I + D_i, so W is sampled once on the half-step grid, every D_i is
+    formed at once, and Z is their inclusive prefix product computed by a
+    Hillis-Steele scan (Blelloch, "Prefix Sums and Their Applications",
+    CMU-CS-90-190) with the combine (L, E) -> L + E + L E, later steps on
+    the left, in ceil(log2 n_steps) passes.
 
-    return entries
+    The scan never forms I + Z, so absolute roundoff stays at the scale of
+    Z rather than of the identity; that is what makes one-period stability
+    margins of order mu resolvable when W is small (averaged systems at
+    small mu).  Returns ``(times, Z)`` with Z of shape (n_steps + 1, 2, 2).
+    """
+    if n_steps < 64:
+        raise ValueError("n_steps must be at least 64")
+    h = T / n_steps
+    half_grid = np.arange(2 * n_steps + 1) * (0.5 * h)
+    A = np.broadcast_to(np.asarray(W(half_grid), dtype=float), half_grid.shape + (2, 2))
+    a0, am, a1 = A[0:-1:2], A[1::2], A[2::2]
+    k2 = am + (0.5 * h) * (am @ a0)
+    k3 = am + (0.5 * h) * (am @ k2)
+    k4 = a1 + h * (a1 @ k3)
+    Z = np.zeros((n_steps + 1, 2, 2))
+    D = Z[1:]  # a view: the scan below fills Z after its zero first row
+    D[:] = (h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
+    shift = 1
+    while shift < n_steps:
+        D[shift:] = D[shift:] + D[:-shift] + D[shift:] @ D[:-shift]
+        shift *= 2
+    return np.arange(n_steps + 1) * h, Z
 
 
 def matrizant(A, T: float, n_steps: int = 4096) -> Matrizant:
-    """Classical RK4 integration of Y' = A(t) Y, Y(0) = I, fixed step T/n_steps.
+    """Fundamental matrix of Y' = A(t) Y, Y(0) = I, on the RK4 grid of step T/n_steps.
 
-    ``A`` maps t to a 2x2 array or to a flat (a11, a12, a21, a22) tuple.
+    ``A`` follows the vectorized contract of :func:`deviation_matrizant`,
+    whose scan this is.
     """
-    if n_steps < 64:
-        raise ValueError("n_steps must be at least 64")
-    ent = _entries_fn(A)
-    h = T / n_steps
-    out = np.empty((n_steps + 1, 4))
-    y11, y12, y21, y22 = 1.0, 0.0, 0.0, 1.0
-    out[0] = (y11, y12, y21, y22)
-
-    def rhs(t, y11, y12, y21, y22):
-        a11, a12, a21, a22 = ent(t)
-        return (
-            a11 * y11 + a12 * y21,
-            a11 * y12 + a12 * y22,
-            a21 * y11 + a22 * y21,
-            a21 * y12 + a22 * y22,
-        )
-
-    sixth = h / 6.0
-    half = 0.5 * h
-    for i in range(n_steps):
-        t = i * h
-        k1 = rhs(t, y11, y12, y21, y22)
-        k2 = rhs(
-            t + half,
-            y11 + half * k1[0],
-            y12 + half * k1[1],
-            y21 + half * k1[2],
-            y22 + half * k1[3],
-        )
-        k3 = rhs(
-            t + half,
-            y11 + half * k2[0],
-            y12 + half * k2[1],
-            y21 + half * k2[2],
-            y22 + half * k2[3],
-        )
-        k4 = rhs(
-            t + h,
-            y11 + h * k3[0],
-            y12 + h * k3[1],
-            y21 + h * k3[2],
-            y22 + h * k3[3],
-        )
-        y11 += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        y12 += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        y21 += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        y22 += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        out[i + 1] = (y11, y12, y21, y22)
-
-    times = np.arange(n_steps + 1) * h
-    return Matrizant(times=times, Y=out.reshape(-1, 2, 2), step=h)
-
-
-def deviation_matrizant(entries, T: float, n_steps: int = 4096):
-    """Integrate Z' = W(t)(I + Z), Z(0) = 0, so that Y = I + Z exactly.
-
-    Used when W is small (averaged systems at small mu): storing the
-    deviation instead of Y itself keeps absolute roundoff at the scale of
-    Z rather than at the scale of the identity, which is what makes
-    one-period stability margins of order mu resolvable.
-    """
-    if n_steps < 64:
-        raise ValueError("n_steps must be at least 64")
-    h = T / n_steps
-    out = np.empty((n_steps + 1, 4))
-    z11 = z12 = z21 = z22 = 0.0
-    out[0] = (0.0, 0.0, 0.0, 0.0)
-
-    def rhs(t, z11, z12, z21, z22):
-        w11, w12, w21, w22 = entries(t)
-        return (
-            w11 * (1.0 + z11) + w12 * z21,
-            w11 * z12 + w12 * (1.0 + z22),
-            w21 * (1.0 + z11) + w22 * z21,
-            w21 * z12 + w22 * (1.0 + z22),
-        )
-
-    sixth = h / 6.0
-    half = 0.5 * h
-    for i in range(n_steps):
-        t = i * h
-        k1 = rhs(t, z11, z12, z21, z22)
-        k2 = rhs(
-            t + half,
-            z11 + half * k1[0],
-            z12 + half * k1[1],
-            z21 + half * k1[2],
-            z22 + half * k1[3],
-        )
-        k3 = rhs(
-            t + half,
-            z11 + half * k2[0],
-            z12 + half * k2[1],
-            z21 + half * k2[2],
-            z22 + half * k2[3],
-        )
-        k4 = rhs(
-            t + h,
-            z11 + h * k3[0],
-            z12 + h * k3[1],
-            z21 + h * k3[2],
-            z22 + h * k3[3],
-        )
-        z11 += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        z12 += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        z21 += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        z22 += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        out[i + 1] = (z11, z12, z21, z22)
-
-    times = np.arange(n_steps + 1) * h
-    return times, out.reshape(-1, 2, 2)
+    times, Z = deviation_matrizant(A, T, n_steps)
+    return Matrizant(times=times, Y=Z + np.eye(2), step=T / n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +490,7 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
         )
     Y = mz.Y
     integrand = np.einsum("nji,njk->nik", Y, Y)  # Y^T Y
-    G = cumulative_simpson(integrand, dx=mz.step, axis=0, initial=0.0)
+    G = cumulative_simpson(integrand, mz.step)
     Q = G[-1]
     X = solve_discrete_lyapunov_2x2(mz.monodromy, Q)
     invY = _inv_2x2_nodes(Y)
@@ -608,7 +528,7 @@ def solve_periodic_lyapunov_scaled(
     """
     ts = build_u2_u3(lin, tr, mu)
     T = lin.period
-    times, Z = deviation_matrizant(ts.mu_u_entries(), T, n_steps)
+    times, Z = deviation_matrizant(lambda t: mu * ts.u_total_at(t), T, n_steps)
     rho = spectral_radius_from_deviation(Z[-1])
     if rho >= 1.0 - 1e-9:
         raise UnstableSystemError(
@@ -627,7 +547,7 @@ def solve_periodic_lyapunov_scaled(
 
     Y = Z + np.eye(2)
     integrand = np.einsum("nji,njk,nkl->nil", Y, Cu, Y)
-    Gu = cumulative_simpson(integrand, dx=times[1] - times[0], axis=0, initial=0.0)
+    Gu = cumulative_simpson(integrand, times[1] - times[0])
     Qu = Gu[-1]
     Xu = _solve_discrete_lyapunov_deviation(Z[-1], Qu)
 
@@ -677,7 +597,7 @@ def spectral_radius_linear_system(
     except ValueError:
         mz = matrizant(system_matrix_entries(lin, mu), lin.period, n_steps)
         return spectral_radius_monodromy(mz)
-    _, Z = deviation_matrizant(ts.mu_u_entries(), lin.period, n_steps)
+    _, Z = deviation_matrizant(lambda t: mu * ts.u_total_at(t), lin.period, n_steps)
     return spectral_radius_from_deviation(Z[-1])
 
 
@@ -708,24 +628,16 @@ def krein_envelope(sol: PeriodicLyapunovSolution, y0_norm_sq: float, t):
 def bvp_residual(sol: PeriodicLyapunovSolution, A) -> float:
     """Scaled sup-norm residual of H' + HA + A^T H + I at interior nodes.
 
-    H' is formed by central differences; each node residual is divided by
-    1 + ||H|| so the figure stays meaningful when the solution itself is
-    large (small-mu regime).
+    ``A`` follows the vectorized contract of :func:`deviation_matrizant`
+    and is sampled once at the nodes.  H' is formed by central differences;
+    each node residual is divided by 1 + ||H|| so the figure stays
+    meaningful when the solution itself is large (small-mu regime).
     """
-    ent = _entries_fn(A)
-    n = len(sol.times)
-    Amat = np.empty((n, 2, 2))
-    for i, t in enumerate(sol.times):
-        a11, a12, a21, a22 = ent(float(t))
-        Amat[i, 0, 0] = a11
-        Amat[i, 0, 1] = a12
-        Amat[i, 1, 0] = a21
-        Amat[i, 1, 1] = a22
+    times = sol.times[1:-1]
+    mid_A = np.broadcast_to(np.asarray(A(times), dtype=float), times.shape + (2, 2))
     H = sol.H
     dH = (H[2:] - H[:-2]) / (2.0 * sol.step)
     mid_H = H[1:-1]
-    mid_A = Amat[1:-1]
     R = dH + mid_H @ mid_A + np.transpose(mid_A, (0, 2, 1)) @ mid_H + np.eye(2)
-    norms = np.array([spectral_norm_2x2(r) for r in R])
     scale = 1.0 + sol.hnorm_nodes[1:-1]
-    return float(np.max(norms / scale))
+    return float(np.max(spectral_norm_2x2(R) / scale))

@@ -28,7 +28,6 @@ __all__ = [
     "linearize",
     "shift_to_zero",
     "quadratic_remainder_bound",
-    "system_matrix",
     "system_matrix_entries",
     "model_to_dict",
     "model_from_dict",
@@ -269,28 +268,24 @@ def quadratic_remainder_bound(g: Nonlinearity, rho: float | None = None) -> floa
     return float(sum(abs(c) * rho ** (j - 2) for j, c in enumerate(tail, start=2)))
 
 
-def system_matrix(lin: LinearizedSystem, mu: float):
-    """First-order form of the linearization: v' = A(t, mu) v as 2x2 arrays."""
-    phi = lin.phi_hat.eval_fn()
+def system_matrix_entries(lin: LinearizedSystem, mu: float):
+    """First-order form of the linearization, v' = A(t, mu) v, as a callable.
+
+    ``A(t)`` has shape (2, 2) for a scalar t and (m, 2, 2) for t of shape
+    (m,), the contract of :func:`~mathieu_cert.floquet_lyapunov.matrizant`.
+    """
     bm2 = lin.beta_hat * mu * mu
     am = lin.alpha * mu
 
-    def A(t: float) -> np.ndarray:
-        return np.array([[0.0, 1.0], [-(bm2 + mu * phi(t)), -am]])
+    def A(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape + (2, 2))
+        out[..., 0, 1] = 1.0
+        out[..., 1, 0] = -(bm2 + mu * lin.phi_hat.eval(t))
+        out[..., 1, 1] = -am
+        return out
 
     return A
-
-
-def system_matrix_entries(lin: LinearizedSystem, mu: float):
-    """Same matrix as :func:`system_matrix` but as a fast 4-tuple closure."""
-    phi = lin.phi_hat.eval_fn()
-    bm2 = lin.beta_hat * mu * mu
-    am = lin.alpha * mu
-
-    def entries(t: float):
-        return 0.0, 1.0, -(bm2 + mu * phi(t)), -am
-
-    return entries
 
 
 def model_to_dict(m: MathieuModel) -> dict:

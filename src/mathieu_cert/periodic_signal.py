@@ -153,6 +153,29 @@ def simpson_array(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(_simpson_weights(n), np.asarray(y, dtype=float)))
 
 
+def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running Simpson integral of samples ``y`` along axis 0, starting at 0.
+
+    The equal-interval rule of scipy.integrate.cumulative_simpson: each
+    interval is integrated over the parabola through its two end nodes and
+    one neighbour, the next node for even intervals and the previous node
+    for odd intervals and for the last one.  Any panel count >= 2 works.
+    """
+    y = np.asarray(y, dtype=float)
+    if len(y) < 3:
+        raise ValueError("cumulative_simpson needs at least 3 samples")
+    f0, f1, f2 = y[:-2], y[1:-1], y[2:]
+    ahead = (h / 3.0) * (1.25 * f0 + 2.0 * f1 - 0.25 * f2)  # [x_i, x_i+1]
+    behind = (h / 3.0) * (1.25 * f2 + 2.0 * f1 - 0.25 * f0)  # [x_i+1, x_i+2]
+    pieces = np.empty((len(y) - 1,) + y.shape[1:])
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    out = np.zeros_like(y)
+    np.cumsum(pieces, axis=0, out=out[1:])
+    return out
+
+
 def mean_value(f, grid: QuadratureGrid) -> float:
     return integrate(f, 0.0, grid.period, grid) / grid.period
 

@@ -117,7 +117,7 @@ def test_criterion_3_periodic_lyapunov_correctness(lin, transform, chain):
     oks = {}
 
     # closed-form contraction: H must be I/2 up to integrator accuracy
-    ent_const = lambda t: (-1.0, 0.0, 0.0, -1.0)  # noqa: E731
+    ent_const = lambda t: -np.eye(2)  # noqa: E731
     sol_c = solve_periodic_lyapunov(ent_const, 1.0, 1024)
     oks["constant_H"] = float(np.max(np.abs(sol_c.H - 0.5 * np.eye(2)))) <= 1e-8
     oks["constant_residual"] = bvp_residual(sol_c, ent_const) <= 1e-6
@@ -172,7 +172,7 @@ def test_criterion_3_periodic_lyapunov_correctness(lin, transform, chain):
 def test_criterion_4_decay_envelope_dominates_linear_flow(lin, transform, chain, sol_small_mu):
     t0 = time.perf_counter()
     # analytic contraction: envelope equals the exact square decay
-    sol_c = solve_periodic_lyapunov(lambda t: (-1.0, 0.0, 0.0, -1.0), 1.0, 1024)
+    sol_c = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
     tq = np.linspace(0.0, 12.0, 481)
     y0sq = 1.3
     env_err = float(np.max(np.abs(krein_envelope(sol_c, y0sq, tq) - y0sq * np.exp(-2.0 * tq))))
@@ -259,9 +259,9 @@ def test_criterion_6_attraction_set_and_nonlinear_decay(pendulum_model, lin, tra
     3e-21 over 50 periods at mu0/2, so the envelope factor and any fixed
     contraction of ||v|| cannot show decay there; the dissipation inequality
     can, and it fails when H is solved at a different mu or the simulated
-    damping is too small.  The envelope clause is gated on the scale-free
-    ratio, because the absolute slack of :func:`verify_envelope` dwarfs
-    states of squared norm below 1e-60.
+    damping is too small.  The envelope clause asserts the ratio
+    ||v||^2 / envelope <= 1 itself, without the 1e-9 relative allowance of
+    :func:`verify_envelope`'s verdict.
     """
     t0 = time.perf_counter()
     sol = sol_small_mu

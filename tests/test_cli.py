@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,3 +270,23 @@ class TestBuildCertificate:
             build_certificate(model, 7e-8)
         cert = build_certificate(model, 7e-8, rho=0.3)
         assert cert.exit_code == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    import mathieu_cert
+
+    src = os.path.dirname(os.path.dirname(mathieu_cert.__file__))
+    code = (
+        "import sys, mathieu_cert.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -16,9 +16,11 @@ from mathieu_cert.floquet_lyapunov import (
     solve_periodic_lyapunov,
     spectral_norm_2x2,
     spectral_radius_from_deviation,
+    spectral_radius_linear_system,
     spectral_radius_monodromy,
     truncated_lyapunov_sum,
 )
+from mathieu_cert.averaging import build_u2_u3
 from mathieu_cert.model import LinearizedSystem, system_matrix_entries
 from mathieu_cert.periodic_signal import PeriodicSignal
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
@@ -41,17 +43,35 @@ def h1_closed_form(k, alpha):
     )
 
 
+def sequential_rk4_deviation(W, T, n):
+    """Step-by-step classical RK4 for Z' = W(t)(I + Z), Z(0) = 0: the loop
+    that the step-matrix scan replaced, kept as its reference."""
+    h = T / n
+    eye = np.eye(2)
+    z = np.zeros((2, 2))
+    out = [z]
+    for i in range(n):
+        t = i * h
+        k1 = W(t) @ (eye + z)
+        k2 = W(t + 0.5 * h) @ (eye + z + 0.5 * h * k1)
+        k3 = W(t + 0.5 * h) @ (eye + z + 0.5 * h * k2)
+        k4 = W(t + h) @ (eye + z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(z)
+    return np.array(out)
+
+
 class TestMatrizant:
     def test_zero_matrix(self):
-        mz = matrizant(lambda t: (0.0, 0.0, 0.0, 0.0), 1.0, 64)
+        mz = matrizant(lambda t: np.zeros(np.shape(t) + (2, 2)), 1.0, 64)
         np.testing.assert_array_equal(mz.monodromy, np.eye(2))
 
     def test_full_rotation(self):
-        mz = matrizant(lambda t: (0.0, 1.0, -1.0, 0.0), TWO_PI, 4096)
+        mz = matrizant(lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), TWO_PI, 4096)
         np.testing.assert_allclose(mz.monodromy, np.eye(2), atol=1e-8)
 
     def test_decoupled_exponentials(self):
-        mz = matrizant(lambda t: (-1.0, 0.0, 0.0, -2.0), 1.0, 4096)
+        mz = matrizant(lambda t: np.diag([-1.0, -2.0]), 1.0, 4096)
         np.testing.assert_allclose(
             mz.monodromy, np.diag([math.exp(-1.0), math.exp(-2.0)]), atol=1e-10
         )
@@ -60,9 +80,35 @@ class TestMatrizant:
         mz = matrizant(lambda t: np.array([[-1.0, 0.0], [0.0, -2.0]]), 1.0, 512)
         assert mz.monodromy[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
+    def test_time_dependent_callable(self):
+        # Y' = diag(-2t, -1) Y has Y(t) = diag(exp(-t^2), exp(-t))
+        def A(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros(t.shape + (2, 2))
+            out[..., 0, 0] = -2.0 * t
+            out[..., 1, 1] = -1.0
+            return out
+
+        mz = matrizant(A, 1.0, 512)
+        np.testing.assert_allclose(mz.Y[:, 0, 0], np.exp(-mz.times ** 2), atol=1e-10)
+        np.testing.assert_allclose(mz.Y[:, 1, 1], np.exp(-mz.times), atol=1e-10)
+        assert np.all(mz.Y[:, 0, 1] == 0.0) and np.all(mz.Y[:, 1, 0] == 0.0)
+
+    @pytest.mark.parametrize("averaged,mu", [(True, 1e-3), (False, 1e-3), (False, 1.0)])
+    def test_scan_matches_sequential_steps(self, lin, transform, averaged, mu):
+        # roundoff only: the scan reassociates the same step products
+        if averaged:
+            ts = build_u2_u3(lin, transform, mu)
+            W = lambda t: mu * ts.u_total_at(t)  # noqa: E731
+        else:
+            W = system_matrix_entries(lin, mu)
+        _, z = deviation_matrizant(W, TWO_PI, 512)
+        ref = sequential_rk4_deviation(W, TWO_PI, 512)
+        np.testing.assert_allclose(z, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
     def test_min_steps(self):
         with pytest.raises(ValueError):
-            matrizant(lambda t: (0.0,) * 4, 1.0, 32)
+            matrizant(lambda t: np.zeros((2, 2)), 1.0, 32)
 
     def test_liouville(self):
         # det Y(t) = exp(int trace A); trace is -alpha*mu here
@@ -75,7 +121,7 @@ class TestMatrizant:
 
 class TestSpectralRadius:
     def test_identity(self):
-        mz = matrizant(lambda t: (0.0,) * 4, 1.0, 64)
+        mz = matrizant(lambda t: np.zeros((2, 2)), 1.0, 64)
         assert spectral_radius_monodromy(mz) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
@@ -209,20 +255,20 @@ class TestDiscreteLyapunov:
 
 class TestPeriodicLyapunov:
     def test_constant_contraction(self):
-        sol = solve_periodic_lyapunov(lambda t: (-1.0, 0.0, 0.0, -1.0), 1.0, 1024)
+        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
         assert np.max(np.abs(sol.H - 0.5 * np.eye(2))) < 1e-8
         assert sol.h_min == pytest.approx(0.5, abs=1e-8)
         assert sol.h_max == pytest.approx(0.5, abs=1e-8)
-        assert bvp_residual(sol, lambda t: (-1.0, 0.0, 0.0, -1.0)) < 1e-6
+        assert bvp_residual(sol, lambda t: -np.eye(2)) < 1e-6
         assert np.max(np.abs(sol.H[0] - sol.H[-1])) < 1e-8
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystemError):
-            solve_periodic_lyapunov(lambda t: (0.0, 1.0, 1.0, -0.1), TWO_PI, 512)
+            solve_periodic_lyapunov(lambda t: np.array([[0.0, 1.0], [1.0, -0.1]]), TWO_PI, 512)
 
     def test_marginal_rejected(self):
         with pytest.raises(UnstableSystemError):
-            solve_periodic_lyapunov(lambda t: (0.0, 1.0, -1.0, 0.0), TWO_PI, 512)
+            solve_periodic_lyapunov(lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), TWO_PI, 512)
 
     def test_pendulum_moderate_mu(self, lin, transform):
         mu = 0.01
@@ -299,19 +345,37 @@ class TestPeriodicLyapunov:
         rel = np.abs(dpsi + speed_sq) / speed_sq
         assert float(np.max(rel)) < 1e-2
 
-    def test_deviation_matrizant_matches_direct(self, lin, transform):
-        from mathieu_cert.averaging import build_u2_u3
+    # 1 - rho from the hand-unrolled RK4 loops that the step-matrix scan
+    # replaced, at 4096 steps; the scan must reproduce them to 7 digits
+    @pytest.mark.parametrize(
+        "mu,gap",
+        [(None, 2.3275894323e-08), (1e-3, 3.1410992250e-04), (0.05, 1.5585236648e-02)],
+    )
+    def test_spectral_gap_pinned(self, lin, transform, chain, mu, gap):
+        mu = chain.mu0 / 2.0 if mu is None else mu
+        rho = spectral_radius_linear_system(lin, transform, mu, 4096)
+        assert 1.0 - rho == pytest.approx(gap, rel=5e-8)
 
-        mu = 0.01
-        ts = build_u2_u3(lin, transform, mu)
-        _, z = deviation_matrizant(ts.mu_u_entries(), TWO_PI, 2048)
-        mz = matrizant(ts.mu_u_entries(), TWO_PI, 2048)
-        np.testing.assert_allclose(np.eye(2) + z[-1], mz.monodromy, atol=1e-12)
+    def test_direct_fallback_radius_pinned(self, lin, transform):
+        # mu = 1 degenerates the averaging transform, so this is the direct
+        # matrizant with squaring-based extraction
+        with pytest.raises(ValueError):
+            build_u2_u3(lin, transform, 1.0)
+        rho = spectral_radius_linear_system(lin, transform, 1.0, 4096)
+        assert rho == pytest.approx(7.717047691898568, rel=1e-12)
+
+    def test_deviation_is_identity_free(self):
+        # Z of a tiny constant W keeps full relative precision: I + Z would
+        # round it away, the deviation scan does not
+        eps = 1e-20
+        _, z = deviation_matrizant(lambda t: eps * np.eye(2), 1.0, 64)
+        assert z[-1, 0, 0] == pytest.approx(math.expm1(eps), rel=1e-13)
+        assert z[-1, 0, 0] > 0.0
 
 
 class TestKreinEnvelope:
     def test_constant_case_exact(self):
-        sol = solve_periodic_lyapunov(lambda t: (-1.0, 0.0, 0.0, -1.0), 1.0, 1024)
+        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
         t = np.array([0.0, 0.3, 1.0, 2.7, 9.9])
         np.testing.assert_allclose(
             krein_envelope(sol, 1.0, t), np.exp(-2.0 * t), atol=1e-8

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from mathieu_cert.periodic_signal import (
     PeriodicSignal,
     QuadratureGrid,
+    cumulative_simpson,
     integrate,
     mean_value,
     signal_from_dict,
@@ -86,6 +87,32 @@ class TestIntegrate:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
             integrate(SIN, 1.0, 0.0, GRID)
+
+
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n_points", [3, 4, 5, 4097, 4098])
+    def test_matches_scipy(self, n_points):
+        # even and odd panel counts, on matrix-valued samples as the
+        # Lyapunov solves use it
+        from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+        y = np.random.default_rng(n_points).normal(size=(n_points, 2, 2))
+        mine = cumulative_simpson(y, 0.37)
+        ref = scipy_cumulative_simpson(y, dx=0.37, axis=0, initial=0.0)
+        assert mine.shape == ref.shape
+        np.testing.assert_allclose(mine, ref, rtol=1e-15, atol=1e-15 * np.max(np.abs(ref)))
+
+    def test_exact_for_quadratics(self):
+        x = np.linspace(0.0, 2.0, 8)  # 7 panels: the odd-count tail rule too
+        np.testing.assert_allclose(
+            cumulative_simpson(3.0 * x ** 2 - x + 1.0, x[1] - x[0]),
+            x ** 3 - 0.5 * x ** 2 + x,
+            atol=1e-14,
+        )
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError):
+            cumulative_simpson(np.ones(2), 0.1)
 
 
 class TestAntiderivative:

@@ -259,8 +259,8 @@ class TestOnCertifiedPendulum:
                 lambda t: decay_envelope(sol, Perturbation.zero(), psi0, t, "nonlinear"),
             )
             assert report.passed, report
-            # states of size ~1e-31 sit inside the absolute slack of
-            # verify_envelope, so only the scale-free ratio can fail
+            # the verdict allows a 1e-9 relative excess; the certificate
+            # itself promises a ratio of at most 1
             assert report.max_ratio <= 1.0, report
 
     def test_perturbed_nonlinear_envelope(self, pendulum_model, sol_small_mu, grid):
@@ -291,9 +291,31 @@ class TestOnCertifiedPendulum:
                 traj, lambda t: decay_envelope(sol, pert, psi0, t, "nonlinear")
             )
             assert report.passed, report
-            # states of size ~1e-31 sit inside the absolute slack of
-            # verify_envelope, so only the scale-free ratio can fail
+            # the verdict allows a 1e-9 relative excess; the certificate
+            # itself promises a ratio of at most 1
             assert report.max_ratio <= 1.0, report
+
+    def test_shrunken_envelope_fails(self, pendulum_model, sol_small_mu):
+        # an eighth of the certified envelope is violated by a certified
+        # trajectory; the verdict must see that although every squared
+        # state (~1e-61) is far below any absolute tolerance
+        sol = sol_small_mu
+        g = shift_to_zero(pendulum_model)
+        p = 0.5 / 6.0
+        q = q_of_mu(pendulum_model, None, p, sol.mu, GRID)
+        cert = attraction_certificate(sol, q, p, rho=0.5)
+        inits = sample_attraction_boundary(sol, cert, 1, rng=np.random.default_rng(1))
+        assert cert.contains(sol, inits[0, 0], inits[0, 1])
+        system = nonlinear_system(
+            pendulum_model.alpha, pendulum_model.beta, pendulum_model.phi, g, sol.mu
+        )
+        traj = integrate_batch(system, inits, 2 * TWO_PI, 1024, record_stride=8)[0]
+        psi0 = sol.value_at_node(0, traj.states[0])
+        env = lambda t: decay_envelope(sol, Perturbation.zero(), psi0, t, "nonlinear")  # noqa: E731
+        assert verify_envelope(traj, env).passed
+        report = verify_envelope(traj, lambda t: env(t) / 8.0)
+        assert report.max_ratio > 1.0
+        assert not report.passed, report
 
     def test_boundary_sampling(self, sol_small_mu):
         sol = sol_small_mu

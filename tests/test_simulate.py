@@ -161,7 +161,7 @@ class TestVerifyEnvelope:
             return -s
 
         system = OdeSystem(rhs=rhs, period=1.0, mu=0.0, tag="linear")
-        sol = solve_periodic_lyapunov(lambda t: (-1.0, 0.0, 0.0, -1.0), 1.0, 1024)
+        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
         traj = integrate(system, 0.6, -0.8, 5.0, 512, record_stride=16)
         from mathieu_cert.floquet_lyapunov import krein_envelope
 
