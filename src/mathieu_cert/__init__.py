@@ -24,7 +24,6 @@ from .averaging import (
 )
 from .bounds import (
     BoundChain,
-    c_matrix,
     c_matrix_nodes,
     compute_bound_chain,
     eq19_sup,

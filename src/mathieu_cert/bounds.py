@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingTransform, TransformedSystem, build_u1, build_u2_u3
-from .floquet_lyapunov import solve_constant_lyapunov, spectral_norm_2x2, sym_eig_bounds
+from .averaging import AveragingTransform, TransformedSystem
+from .floquet_lyapunov import spectral_norm_2x2, sym_eig_bounds
 from .model import LinearizedSystem
 from .periodic_signal import cumulative_simpson, sup_norm
 
@@ -31,7 +31,6 @@ __all__ = [
     "u2_cumulative_nodes",
     "h2_nodes",
     "c_matrix_nodes",
-    "c_matrix",
     "eq19_sup",
     "script_c_positivity",
 ]
@@ -139,8 +138,7 @@ def h2_nodes(ts: TransformedSystem, h1: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _c_nodes(ts: TransformedSystem, h1: np.ndarray):
-    nodes, iu2 = u2_cumulative_nodes(ts)
-    h2 = h1 @ iu2 + np.transpose(iu2, (0, 2, 1)) @ h1
+    nodes, h2 = h2_nodes(ts, h1)
     u12 = ts.u1 + ts.u2_at(nodes)
     corr = h2 @ u12 + np.transpose(u12, (0, 2, 1)) @ h2
     c = np.eye(2) + ts.mu * corr
@@ -153,17 +151,6 @@ def c_matrix_nodes(ts: TransformedSystem, h1: np.ndarray) -> tuple[np.ndarray, n
     return nodes, c
 
 
-def c_matrix(lin: LinearizedSystem, tr: AveragingTransform, mu: float, t: float) -> np.ndarray:
-    """C(t,mu) at a single time, linearly interpolated between grid nodes."""
-    ts = build_u2_u3(lin, tr, mu)
-    h1 = solve_constant_lyapunov(build_u1(lin, tr))
-    nodes, c = c_matrix_nodes(ts, h1)
-    s = float(t) % lin.period
-    j = min(int(s / tr.grid.step), len(nodes) - 2)
-    w = (s - nodes[j]) / tr.grid.step
-    return (1.0 - w) * c[j] + w * c[j + 1]
-
-
 def eq19_sup(ts: TransformedSystem, h1: np.ndarray) -> float:
     """sup over grid of  mu * ||H2 (U1+U2) + (U1+U2)^T H2||.
 
@@ -173,20 +160,18 @@ def eq19_sup(ts: TransformedSystem, h1: np.ndarray) -> float:
     return float(ts.mu * np.max(spectral_norm_2x2(corr)))
 
 
-def script_c_positivity(
-    lin: LinearizedSystem, tr: AveragingTransform, mu: float
-) -> tuple[bool, float]:
+def script_c_positivity(ts: TransformedSystem, h1: np.ndarray) -> tuple[bool, float]:
     """Check the remainder-adjusted correction matrix against the I/2 floor.
 
-    Builds scriptH(t,mu) = H1/mu - H2(t,mu) and
+    From the transformed system at mu and H1, builds
+    scriptH(t,mu) = H1/mu - H2(t,mu) and
 
         scriptC = C(t,mu) - mu^3 (scriptH U3 + U3^T scriptH),
 
     returning (ok, min eigenvalue over the grid) with
     ok = (min_eig >= 1/2 - 1e-9).  Guaranteed ok for mu <= mu0.
     """
-    ts = build_u2_u3(lin, tr, mu)
-    h1 = solve_constant_lyapunov(build_u1(lin, tr))
+    mu = ts.mu
     nodes, c, h2, _ = _c_nodes(ts, h1)
     script_h = h1[None, :, :] / mu - h2
     u3 = ts.u3_at(nodes)

@@ -25,13 +25,16 @@ import numpy as np
 
 from . import __version__
 from .averaging import (
+    AveragingTransform,
+    BogolyubovResult,
     bogolyubov_condition,
     build_transform,
     build_u1,
     build_u2_u3,
 )
-from .bounds import compute_bound_chain
+from .bounds import BoundChain, compute_bound_chain
 from .floquet_lyapunov import (
+    PeriodicLyapunovSolution,
     UnstableSystemError,
     bvp_residual,
     matrizant,
@@ -40,6 +43,7 @@ from .floquet_lyapunov import (
     spectral_radius_linear_system,
 )
 from .model import (
+    LinearizedSystem,
     MathieuModel,
     PendulumParams,
     linearize,
@@ -71,10 +75,15 @@ DEFAULT_RHO_PENDULUM = math.pi / 2.0
 
 @dataclass(frozen=True)
 class Certificate:
-    """Assembled certificate payload plus the exit status it implies."""
+    """Assembled certificate payload plus the exit status it implies.
+
+    ``sol`` is the periodic Lyapunov solution behind the payload, present
+    only when the exit code is 0.
+    """
 
     payload: dict
     exit_code: int
+    sol: PeriodicLyapunovSolution | None = None
 
 
 def _budget_dict(b) -> dict:
@@ -87,6 +96,20 @@ def _budget_dict(b) -> dict:
     }
 
 
+def _averaged_range(
+    lin: LinearizedSystem, grid: QuadratureGrid, mu_cap: float = 1.0
+) -> tuple[AveragingTransform, BogolyubovResult, BoundChain | None]:
+    """The mu-independent stages in order: transform, averaged test and,
+    when the test holds, u1, h1 and the bound chain down to mu0."""
+    tr = build_transform(lin, grid)
+    bog = bogolyubov_condition(lin, grid)
+    if not bog.holds:
+        return tr, bog, None
+    u1 = build_u1(lin, tr)
+    h1 = solve_constant_lyapunov(u1)
+    return tr, bog, compute_bound_chain(lin, tr, u1, h1, mu_cap=mu_cap)
+
+
 def build_certificate(
     model: MathieuModel,
     mu: float,
@@ -96,13 +119,16 @@ def build_certificate(
     steps: int = 4096,
     mu_cap: float = 1.0,
 ) -> Certificate:
-    """Run the full certification pipeline for one model at one mu."""
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    """Run the full certification pipeline for one model at one mu.
+
+    Each stage runs once: on exit 0 the spectral radius is the one the
+    Lyapunov solve propagated, and the solution is returned with the payload.
+    """
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError("mu must be positive and finite")
     lin = linearize(model)
     grid = QuadratureGrid(lin.period, grid_n)
-    tr = build_transform(lin, grid)
-    bog = bogolyubov_condition(lin, grid)
+    tr, bog, chain = _averaged_range(lin, grid, mu_cap)
     payload: dict = {
         "schema": 1,
         "tool_version": __version__,
@@ -110,17 +136,12 @@ def build_certificate(
         "mu": mu,
         "grid": {"quadrature_n": grid_n, "steps_per_period": steps},
         "bogolyubov": {"holds": bog.holds, "lhs": bog.lhs, "rhs": bog.rhs},
-        "spectral_radius_at_mu": spectral_radius_linear_system(lin, tr, mu, steps),
     }
-    if not bog.holds:
-        return Certificate(payload=payload, exit_code=3)
-
-    u1 = build_u1(lin, tr)
-    h1 = solve_constant_lyapunov(u1)
-    chain = compute_bound_chain(lin, tr, u1, h1, mu_cap=mu_cap)
-    payload["bound_chain"] = chain.as_dict()
-    if mu > chain.mu0:
-        return Certificate(payload=payload, exit_code=2)
+    if chain is not None:
+        payload["bound_chain"] = chain.as_dict()
+    if chain is None or mu > chain.mu0:
+        payload["spectral_radius_at_mu"] = spectral_radius_linear_system(lin, tr, mu, steps)
+        return Certificate(payload=payload, exit_code=3 if chain is None else 2)
 
     sol = solve_periodic_lyapunov_scaled(lin, tr, mu, steps)
     payload["spectral_radius_at_mu"] = sol.spectral_radius
@@ -167,7 +188,7 @@ def build_certificate(
     else:
         payload["attraction"] = None
         payload["envelope"] = None
-    return Certificate(payload=payload, exit_code=0)
+    return Certificate(payload=payload, exit_code=0, sol=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +285,44 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1:
             raise ValueError("grid spec needs n >= 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"bad grid spec {spec!r}: endpoints must be finite")
         if kind == "lin":
             return np.linspace(start, stop, n)
         if start <= 0.0 or stop <= 0.0:
             raise ValueError("log grid endpoints must be positive")
         return np.geomspace(start, stop, n)
-    return np.array([float(x) for x in spec.split(",") if x.strip() != ""])
+    values = np.array([float(x) for x in spec.split(",") if x.strip() != ""])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"bad grid spec {spec!r}: values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_certify(args) -> int:
+def _resolve_inputs(args) -> tuple[MathieuModel, float, Perturbation | None]:
+    """Model, mu and perturbation (if the subcommand takes ``--pert``) from the flags."""
     model, derived_mu = load_model(args.model)
     mu = args.mu if args.mu is not None else derived_mu
     if mu is None:
         raise ValueError("--mu is required for model files (pendulum files derive it)")
     pert = None
-    if args.pert:
+    if getattr(args, "pert", None):
         pert = perturbation_from_dict(_load_json(args.pert), model)
+    return model, mu, pert
+
+
+def _cmd_certify(args) -> int:
+    model, mu, pert = _resolve_inputs(args)
     cert = build_certificate(
         model, mu, pert=pert, rho=args.rho, grid_n=args.grid, steps=args.steps
     )
     if args.dump_transform:
         _dump_transform(model, mu, args.grid, args.dump_transform)
     if args.dump_lyapunov and cert.exit_code == 0:
-        _dump_lyapunov(model, mu, args.steps, args.grid, args.dump_lyapunov)
+        _dump_lyapunov(cert.sol, args.dump_lyapunov)
     if args.dump_matrizant:
         _dump_matrizant(model, mu, args.steps, args.dump_matrizant)
     if args.format == "csv":
@@ -301,10 +333,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_margins(args) -> int:
-    model, derived_mu = load_model(args.model)
-    mu = args.mu if args.mu is not None else derived_mu
-    if mu is None:
-        raise ValueError("--mu is required for model files (pendulum files derive it)")
+    model, mu, _ = _resolve_inputs(args)
     cert = build_certificate(model, mu, grid_n=args.grid, steps=args.steps)
     if cert.exit_code != 0:
         _dump_json(cert.payload, args.out)
@@ -328,13 +357,7 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    model, derived_mu = load_model(args.model)
-    mu = args.mu if args.mu is not None else derived_mu
-    if mu is None:
-        raise ValueError("--mu is required for model files (pendulum files derive it)")
-    pert = None
-    if args.pert:
-        pert = perturbation_from_dict(_load_json(args.pert), model)
+    model, mu, pert = _resolve_inputs(args)
     cert = build_certificate(
         model, mu, pert=pert, rho=args.rho, grid_n=args.grid, steps=args.steps
     )
@@ -342,10 +365,7 @@ def _cmd_simulate(args) -> int:
         _dump_json(cert.payload, args.out)
         return cert.exit_code
 
-    lin = linearize(model)
-    grid = QuadratureGrid(lin.period, args.grid)
-    tr = build_transform(lin, grid)
-    sol = solve_periodic_lyapunov_scaled(lin, tr, mu, args.steps)
+    sol = cert.sol
     g = shift_to_zero(model)
     system = nonlinear_system(model.alpha, model.beta, model.phi, g, mu, pert)
     traj = integrate(system, args.y0, args.y1, args.t_end, args.steps, args.stride)
@@ -401,19 +421,11 @@ def _cmd_sweep(args) -> int:
         "beta,mu,spectral_radius,certified_by_mu0",
     ]
     for beta in sorted(float(b) for b in beta_grid):
-        model_b = replace(model, beta=beta)
-        lin = linearize(model_b)
-        grid = QuadratureGrid(lin.period, args.grid)
-        tr = build_transform(lin, grid)
-        bog = bogolyubov_condition(lin, grid)
-        mu0 = -math.inf
-        if bog.holds:
-            u1 = build_u1(lin, tr)
-            h1 = solve_constant_lyapunov(u1)
-            mu0 = compute_bound_chain(lin, tr, u1, h1).mu0
+        lin = linearize(replace(model, beta=beta))
+        tr, _, chain = _averaged_range(lin, QuadratureGrid(lin.period, args.grid))
         for mu in sorted(float(m) for m in mu_grid):
             rho = spectral_radius_linear_system(lin, tr, mu, args.steps)
-            certified = bog.holds and mu <= mu0
+            certified = chain is not None and mu <= chain.mu0
             lines.append(f"{_fmt(beta)},{_fmt(mu)},{_fmt(rho)},{str(certified).lower()}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -441,11 +453,7 @@ def _dump_transform(model: MathieuModel, mu: float, grid_n: int, path: str) -> N
     _dump_json(payload, path)
 
 
-def _dump_lyapunov(model: MathieuModel, mu: float, steps: int, grid_n: int, path: str) -> None:
-    lin = linearize(model)
-    grid = QuadratureGrid(lin.period, grid_n)
-    tr = build_transform(lin, grid)
-    sol = solve_periodic_lyapunov_scaled(lin, tr, mu, steps)
+def _dump_lyapunov(sol: PeriodicLyapunovSolution, path: str) -> None:
     lines = ["t,h11,h12,h22,h_min_t,h_norm_t"]
     for i, t in enumerate(sol.times):
         h = sol.H[i]

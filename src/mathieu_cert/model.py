@@ -101,6 +101,9 @@ class MathieuModel:
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0.0:
             raise ValueError("damping coefficient alpha must be >= 0")
         if not self.beta > 0.0:

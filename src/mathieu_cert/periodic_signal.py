@@ -19,7 +19,6 @@ __all__ = [
     "PeriodicSignal",
     "QuadratureGrid",
     "integrate",
-    "mean_value",
     "zero_mean_antiderivative",
     "sup_norm",
     "signal_to_dict",
@@ -55,6 +54,8 @@ class PeriodicSignal:
             raise ValueError("harmonic indices must be >= 1 (no constant term)")
         if len(set(ks)) != len(ks):
             raise ValueError("harmonic indices must be pairwise distinct")
+        if not all(math.isfinite(c) and math.isfinite(s) for _, c, s in normalized):
+            raise ValueError("harmonic coefficients must be finite")
 
     @property
     def base_frequency(self) -> float:
@@ -145,14 +146,6 @@ def integrate(f, a: float, b: float, grid: QuadratureGrid) -> float:
     return float(h / 3.0 * np.dot(_simpson_weights(n), y))
 
 
-def simpson_array(y: np.ndarray, h: float) -> float:
-    """Composite Simpson on pre-sampled values (len must be odd)."""
-    n = len(y) - 1
-    if n % 2 != 0:
-        raise ValueError("simpson_array needs an even number of panels")
-    return float(h / 3.0 * np.dot(_simpson_weights(n), np.asarray(y, dtype=float)))
-
-
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """Running Simpson integral of samples ``y`` along axis 0, starting at 0.
 
@@ -174,10 +167,6 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(y)
     np.cumsum(pieces, axis=0, out=out[1:])
     return out
-
-
-def mean_value(f, grid: QuadratureGrid) -> float:
-    return integrate(f, 0.0, grid.period, grid) / grid.period
 
 
 def zero_mean_antiderivative(s: PeriodicSignal) -> PeriodicSignal:

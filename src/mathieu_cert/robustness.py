@@ -71,6 +71,9 @@ class Perturbation:
     scaling: float = -1.0
 
     def __post_init__(self):
+        for name in ("d_alpha", "d_beta", "d_phi_offset", "scaling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"perturbation {name} must be finite")
         if self.scaling >= 0.0:
             raise ValueError("scaling must be f'(gamma) < 0")
 

@@ -329,7 +329,7 @@ def test_criterion_7_correction_matrix_floors(lin, transform, h1, chain):
         ts = build_u2_u3(lin, transform, mu)
         _, c = c_matrix_nodes(ts, h1)
         c_min = float(np.min(np.linalg.eigvalsh(c)))
-        ok_c, script_min = script_c_positivity(lin, transform, mu)
+        ok_c, script_min = script_c_positivity(ts, h1)
         oks.append(c_min >= 0.75 - 1e-9)
         oks.append(ok_c and script_min >= 0.5 - 1e-9)
         details.append(f"mu={mu:.3e}: min eig C {c_min:.6f}, adjusted {script_min:.6f}")

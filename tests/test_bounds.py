@@ -5,7 +5,6 @@ import pytest
 
 from mathieu_cert.averaging import build_transform, build_u1, build_u2_u3
 from mathieu_cert.bounds import (
-    c_matrix,
     c_matrix_nodes,
     compute_bound_chain,
     eq19_sup,
@@ -134,16 +133,11 @@ class TestCorrectionMatrices:
         assert eigs.min() > 0.75 - 1e-9
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 1.0])
-    def test_script_c_floor(self, lin, transform, chain, frac):
-        ok, min_eig = script_c_positivity(lin, transform, frac * chain.mu0)
+    def test_script_c_floor(self, lin, transform, h1, chain, frac):
+        ts = build_u2_u3(lin, transform, frac * chain.mu0)
+        ok, min_eig = script_c_positivity(ts, h1)
         assert ok, min_eig
         assert min_eig >= 0.5 - 1e-9
-
-    def test_c_matrix_interpolation(self, lin, transform, h1, chain):
-        mu = chain.mu0
-        ts = build_u2_u3(lin, transform, mu)
-        nodes, c = c_matrix_nodes(ts, h1)
-        np.testing.assert_allclose(c_matrix(lin, transform, mu, float(nodes[7])), c[7], atol=1e-12)
 
     def test_h2_vanishes_at_zero(self, lin, transform, h1):
         ts = build_u2_u3(lin, transform, 1e-4)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from mathieu_cert import cli, floquet_lyapunov
 from mathieu_cert.cli import build_certificate, main, parse_grid_spec
 
 from conftest import TWO_PI
@@ -248,16 +249,22 @@ class TestGridSpec:
         assert parse_grid_spec("").size == 0
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_grid_spec("log:1:2")
-        with pytest.raises(ValueError):
-            parse_grid_spec("log:-1:2:3")
+        for spec in ("log:1:2", "log:-1:2:3", "0.1,nan", "lin:0:inf:3", "log:1e-3:inf:2"):
+            with pytest.raises(ValueError):
+                parse_grid_spec(spec)
 
 
 class TestBuildCertificate:
     def test_requires_positive_mu(self, pendulum_model):
         with pytest.raises(ValueError):
             build_certificate(pendulum_model, -1.0)
+
+    def test_solution_only_on_exit_0(self, pendulum_model):
+        cert = build_certificate(pendulum_model, 7e-8, steps=1024)
+        assert cert.exit_code == 0
+        assert cert.sol.spectral_radius == cert.payload["spectral_radius_at_mu"]
+        assert cert.sol.h_max == cert.payload["lyapunov"]["h_max"]
+        assert build_certificate(pendulum_model, 0.01, steps=1024).sol is None
 
     def test_polynomial_needs_rho_when_cubic(self, pendulum_model):
         from dataclasses import replace
@@ -290,3 +297,68 @@ def test_cli_import_leaves_scipy_out():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _non_finite_argv(case, model_file, tmp_path):
+    if case == "mu_inf":
+        return ["certify", "--model", model_file, "--mu", "inf"]
+    if case == "harmonic_nan":
+        phi = {"period": TWO_PI, "harmonics": [{"k": 1, "cos": math.nan, "sin": -1.0}]}
+        return ["certify", "--model", write_model(tmp_path, phi=phi), "--mu", "7e-8"]
+    if case == "pert_nan":
+        pert = tmp_path / "pert.json"
+        pert.write_text(json.dumps({"d_alpha": math.nan, "d_beta": 0.0}))
+        return ["certify", "--model", model_file, "--mu", "7e-8", "--pert", str(pert)]
+    return ["sweep", "--model", model_file, "--mu-grid", "1e-3,inf", "--beta-grid", "0.25"]
+
+
+@pytest.mark.parametrize("case", ["mu_inf", "harmonic_nan", "pert_nan", "sweep_inf"])
+def test_non_finite_input_is_exit_1(case, model_file, tmp_path, capsys):
+    # each of these used to give a certificate or a chart row built on nan
+    assert main(_non_finite_argv(case, model_file, tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mathieu-cert: error:") and "finite" in err
+    assert "Traceback" not in err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case, beta, mu, code, solves",
+    [
+        ("certify", 0.25, "7e-8", 0, 1),
+        ("certify", 0.25, "0.01", 2, 0),
+        ("certify", 0.6, "1e-7", 3, 0),
+        ("dump-lyapunov", 0.25, "7e-8", 0, 1),
+        ("simulate", 0.25, "7e-8", 0, 1),
+    ],
+)
+def test_one_propagation_per_command(case, beta, mu, code, solves, tmp_path, monkeypatch, capsys):
+    # every command propagates the averaged system once; simulate and the
+    # Lyapunov dump reuse the solution build_certificate returns
+    path = write_model(tmp_path, beta=beta)
+    argv = ["--model", path, "--mu", mu, "--steps", "1024"]
+    if case == "simulate":
+        argv = ["simulate", *argv, "--y0", "1e-32", "--y1", "0", "--t-end", "6.5",
+                "--stride", "256"]
+    elif case == "dump-lyapunov":
+        argv = ["certify", *argv, "--dump-lyapunov", str(tmp_path / "h.csv")]
+    else:
+        argv = ["certify", *argv]
+    propagations = _count_calls(monkeypatch, floquet_lyapunov, "deviation_matrizant")
+    solve_calls = _count_calls(monkeypatch, cli, "solve_periodic_lyapunov_scaled")
+    assert main(argv) == code
+    capsys.readouterr()
+    assert len(propagations) == 1
+    assert len(solve_calls) == solves

@@ -85,6 +85,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MathieuModel(0.1, -0.25, SIN, poly(-1.0), gamma=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    def test_non_finite_rejected(self, field):
+        args = dict(alpha=0.1, beta=0.25, phi=SIN, f=poly(-1.0), gamma=0.0)
+        args[field] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            MathieuModel(**args)
+
 
 class TestLinearize:
     def test_pendulum(self, pendulum_model):

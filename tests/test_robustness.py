@@ -357,6 +357,13 @@ class TestPerturbationIO:
         with pytest.raises(ValueError):
             Perturbation(0.0, 0.0, scaling=1.0)
 
+    @pytest.mark.parametrize("field", ["d_alpha", "d_beta", "d_phi_offset", "scaling"])
+    def test_non_finite_rejected(self, field):
+        args = dict(d_alpha=0.0, d_beta=0.0, d_phi_offset=0.0, scaling=-1.0)
+        args[field] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            Perturbation(**args)
+
 
 def random_budget_perturbation(model, budget, fraction, rng):
     """Perturbation whose two budget quantities sit at ``fraction`` of the cap."""
