@@ -59,7 +59,6 @@ from .model import (
 from .periodic_signal import (
     PeriodicSignal,
     QuadratureGrid,
-    integrate,
     signal_from_dict,
     signal_to_dict,
     sup_norm,

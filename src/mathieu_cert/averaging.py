@@ -22,12 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LinearizedSystem
-from .periodic_signal import (
-    PeriodicSignal,
-    QuadratureGrid,
-    integrate,
-    zero_mean_antiderivative,
-)
+from .periodic_signal import PeriodicSignal, QuadratureGrid, zero_mean_antiderivative
 
 __all__ = [
     "AveragingTransform",
@@ -50,7 +45,6 @@ class AveragingTransform:
     a: PeriodicSignal
     b: PeriodicSignal
     grid: QuadratureGrid
-    c_const: float = 1.0
 
 
 def build_transform(lin: LinearizedSystem, grid: QuadratureGrid) -> AveragingTransform:
@@ -68,11 +62,8 @@ def build_transform(lin: LinearizedSystem, grid: QuadratureGrid) -> AveragingTra
 
 
 def mean_phi_a(lin: LinearizedSystem, tr: AveragingTransform) -> float:
-    """(1/T) * integral over one period of phi_hat(t) * a(t)."""
-    phi = lin.phi_hat
-    a = tr.a
-    T = lin.period
-    return integrate(lambda t: phi.eval(t) * a.eval(t), 0.0, T, tr.grid) / T
+    """(1/T) int_0^T phi_hat a = mean(b^2), by parts since phi_hat = -b' and a' = b."""
+    return tr.b.mean_square
 
 
 def build_u1(lin: LinearizedSystem, tr: AveragingTransform) -> np.ndarray:
@@ -105,16 +96,17 @@ def bogolyubov_condition(lin: LinearizedSystem, grid: QuadratureGrid) -> Bogolyu
     which guarantees asymptotic stability for all sufficiently small mu > 0.
     For the vibrated pendulum this reduces to the classical condition
     a^2 omega^2 > 2 g l on the pivot oscillation.
+
+    Closed forms, with B the zero-mean antiderivative of phi_hat and b0 = B(0):
+    lhs = mean(B^2) + b0^2, and by parts (1/T) int_0^T tau phi_hat = b0, so
+    rhs = b0^2 - beta_hat.  holds is beta_hat + mean(B^2) > 0, which is
+    det U1 > 0 exactly as ``u1_is_hurwitz`` computes it.  ``grid`` is unused
+    and kept for existing callers.
     """
-    if not lin.alpha > 0.0:
-        raise ValueError("condition requires alpha > 0")
-    T = lin.period
     B = zero_mean_antiderivative(lin.phi_hat)
     b0 = B.eval(0.0)
-    lhs = integrate(lambda t: (B.eval(t) - b0) ** 2, 0.0, T, grid) / T
-    m1 = integrate(lambda t: t * lin.phi_hat.eval(t), 0.0, T, grid) / T
-    rhs = m1 * m1 - lin.beta_hat
-    return BogolyubovResult(holds=bool(lhs > rhs), lhs=float(lhs), rhs=float(rhs))
+    m = B.mean_square
+    return BogolyubovResult(bool(lin.beta_hat + m > 0.0), m + b0 * b0, b0 * b0 - lin.beta_hat)
 
 
 @dataclass(frozen=True)
@@ -180,8 +172,7 @@ def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> Tra
     """
     if not mu > 0.0:
         raise ValueError("mu must be positive")
-    pts = np.concatenate([tr.grid.nodes, tr.grid.midpoints])
-    if np.min(1.0 + mu * tr.a.eval(pts)) <= 0.0:
+    if np.min(1.0 + mu * tr.a.eval(tr.grid.samples)) <= 0.0:
         raise ValueError(
             f"transform degenerates: 1 + mu*a(t) <= 0 on the grid at mu={mu}"
         )

@@ -249,8 +249,8 @@ def quadratic_remainder_bound(g: Nonlinearity, rho: float | None = None) -> floa
         raise ValueError("quadratic remainder bound requires g(0) = 0")
     if not g.derivative(0.0) < 0.0:
         raise ValueError("quadratic remainder bound requires g'(0) < 0")
-    if rho is not None and rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if rho is not None and not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError("rho must be finite and >= 0")
 
     if g.kind == "pendulum_sine":
         if rho is None:

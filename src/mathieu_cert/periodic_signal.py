@@ -88,6 +88,11 @@ class PeriodicSignal:
 
         return f
 
+    @property
+    def mean_square(self) -> float:
+        """(1/T) * integral over one period of the square: (1/2) sum (c_k^2 + s_k^2)."""
+        return 0.5 * math.fsum(c * c + s * s for _, c, s in self.harmonics)
+
     def scaled(self, factor: float) -> "PeriodicSignal":
         return PeriodicSignal(
             self.period,
@@ -117,8 +122,9 @@ class QuadratureGrid:
         return np.linspace(0.0, self.period, self.n_points + 1)
 
     @property
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.n_points) + 0.5) * self.step
+    def samples(self) -> np.ndarray:
+        """Nodes and panel centres of [0, T), interleaved: the points of every sampled sup."""
+        return np.arange(2 * self.n_points) * (0.5 * self.step)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -132,8 +138,10 @@ def integrate(f, a: float, b: float, grid: QuadratureGrid) -> float:
     """Composite Simpson approximation of the integral of f over [a, b].
 
     ``f`` may be a PeriodicSignal or any callable accepting an ndarray of
-    abscissae.  The grid fixes the panel count; for trigonometric-polynomial
-    integrands over whole periods the rule is exact to roundoff.
+    abscissae.  Over a whole period of n panels the rule is exact to roundoff
+    only for periodic trigonometric integrands with harmonics below n/2 (about
+    n/4 for squares of series); higher ones alias without warning, and a
+    non-periodic integrand such as t*phi(t) keeps the usual O(h^4) error.
     """
     if a > b:
         raise ValueError(f"integration bounds must satisfy a <= b, got {a} > {b}")
@@ -184,7 +192,7 @@ def zero_mean_antiderivative(s: PeriodicSignal) -> PeriodicSignal:
 
 
 def sup_norm(s, grid: QuadratureGrid) -> float:
-    """Max of |s| over grid nodes and panel midpoints, with one parabolic
+    """Max of |s| over ``grid.samples`` (nodes and panel centres), with one parabolic
     refinement around the best sample.
 
     A grid approximation of the true supremum (no interval arithmetic); the
@@ -192,9 +200,9 @@ def sup_norm(s, grid: QuadratureGrid) -> float:
     the acceptance suite bounds the residual discretization effect by a
     grid-doubling comparison.
     """
-    n = 2 * grid.n_points
-    step = grid.period / n
-    pts = np.arange(n) * step  # nodes and midpoints, uniformly interleaved
+    pts = grid.samples
+    n = len(pts)
+    step = 0.5 * grid.step
     ev = s.eval if isinstance(s, PeriodicSignal) else s
     vals = np.abs(np.asarray(ev(pts), dtype=float))
     i = int(np.argmax(vals))

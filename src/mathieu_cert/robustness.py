@@ -109,8 +109,7 @@ class Perturbation:
     def sup_d_phi_hat(self, grid: QuadratureGrid) -> float:
         if self.d_phi is None:
             return abs(self.scaling * self.d_phi_offset)
-        pts = np.concatenate([grid.nodes, grid.midpoints])
-        return float(np.max(np.abs(self.d_phi_hat_eval(pts))))
+        return float(np.max(np.abs(self.d_phi_hat_eval(grid.samples))))
 
     @property
     def is_zero(self) -> bool:
@@ -193,13 +192,13 @@ def q_of_mu(
 ) -> float:
     """Nonlinearity strength  q(mu) = sup_t (|beta+d_beta| mu^2 + |phi+d_phi| mu) p.
 
-    The supremum is taken over one period (grid nodes and midpoints), valid
+    The supremum is taken over one period (``grid.samples``), valid
     because perturbations are restricted to T-periodic functions.
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
     beta = abs(model.beta + (pert.d_beta if pert is not None else 0.0))
-    pts = np.concatenate([grid.nodes, grid.midpoints])
+    pts = grid.samples
     phi = model.phi.eval(pts)
     if pert is not None:
         phi = phi + pert.d_phi_eval(pts)

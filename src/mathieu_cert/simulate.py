@@ -139,6 +139,8 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
     h = system.period / steps_per_period
     n_total = max(1, int(round(t_end / h)))
     s = np.array(init, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("initial states must be finite")
     n_members = s.shape[0]
     rec_idx = [0]
     rec = [s.copy()]

@@ -125,23 +125,43 @@ class TestBogolyubov:
         assert res.holds
 
     @given(
-        signal_strategy(),
+        signal_strategy(max_k=1024),
         st.floats(-3.0, -0.01, allow_nan=False),
         st.floats(0.01, 3.0, allow_nan=False),
+        st.integers(8, 2048).map(lambda half: 2 * half),
     )
     @settings(max_examples=40, deadline=None)
-    def test_equivalent_to_averaged_determinant(self, phi_hat, beta_hat, alpha):
-        # the condition is det U1 > 0 in disguise; both sides are computed
-        # along structurally different paths
-        grid = QuadratureGrid(TWO_PI, 4096)
+    def test_equivalent_to_averaged_determinant(self, phi_hat, beta_hat, alpha, n_points):
+        # the condition is det U1 > 0 in disguise, at every harmonic and on
+        # every grid: the test and the Hurwitz check on U1 agree exactly
+        grid = QuadratureGrid(TWO_PI, n_points)
         lin = make_lin(phi_hat=phi_hat, beta_hat=beta_hat, alpha=alpha)
         res = bogolyubov_condition(lin, grid)
         tr = build_transform(lin, grid)
         u1 = build_u1(lin, tr)
         det = np.linalg.det(u1)
         assert (res.lhs - res.rhs) == pytest.approx(det, abs=1e-8)
-        if abs(det) > 1e-6:
-            assert res.holds == u1_is_hurwitz(u1)
+        assert res.holds == u1_is_hurwitz(u1)
+
+    @given(signal_strategy(max_k=5), st.floats(-3.0, -0.25, allow_nan=False))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_forms_match_simpson(self, phi_hat, beta_hat):
+        # Simpson on 4096 panels as an independent oracle: exact to roundoff
+        # for the periodic integrands at k <= 5, O(h^4) for tau * phi_hat
+        grid = QuadratureGrid(TWO_PI, 4096)
+        lin = make_lin(phi_hat=phi_hat, beta_hat=beta_hat)
+        tr = build_transform(lin, grid)
+        res = bogolyubov_condition(lin, grid)
+        B = tr.b.scaled(-1.0)
+        b0 = B.eval(0.0)
+        lhs = integrate(lambda t: (B.eval(t) - b0) ** 2, 0.0, TWO_PI, grid) / TWO_PI
+        m1 = integrate(lambda t: t * phi_hat.eval(t), 0.0, TWO_PI, grid) / TWO_PI
+        m = integrate(lambda t: phi_hat.eval(t) * tr.a.eval(t), 0.0, TWO_PI, grid) / TWO_PI
+        # the absolute floor only covers squares of amplitudes that underflow
+        close = dict(rel=1e-9, abs=1e-300)
+        assert mean_phi_a(lin, tr) == pytest.approx(m, **close)
+        assert res.lhs == pytest.approx(lhs, **close)
+        assert res.rhs == pytest.approx(m1 * m1 - beta_hat, **close)
 
 
 class TestTransformedSystem:

@@ -309,10 +309,17 @@ def _non_finite_argv(case, model_file, tmp_path):
         pert = tmp_path / "pert.json"
         pert.write_text(json.dumps({"d_alpha": math.nan, "d_beta": 0.0}))
         return ["certify", "--model", model_file, "--mu", "7e-8", "--pert", str(pert)]
+    if case in ("rho_nan", "rho_inf"):
+        return ["certify", "--model", model_file, "--mu", "7e-8", "--rho", case[4:]]
+    if case == "y0_nan":
+        return ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "nan",
+                "--y1", "0", "--t-end", "6.5"]
     return ["sweep", "--model", model_file, "--mu-grid", "1e-3,inf", "--beta-grid", "0.25"]
 
 
-@pytest.mark.parametrize("case", ["mu_inf", "harmonic_nan", "pert_nan", "sweep_inf"])
+@pytest.mark.parametrize(
+    "case", ["mu_inf", "harmonic_nan", "pert_nan", "rho_nan", "rho_inf", "y0_nan", "sweep_inf"]
+)
 def test_non_finite_input_is_exit_1(case, model_file, tmp_path, capsys):
     # each of these used to give a certificate or a chart row built on nan
     assert main(_non_finite_argv(case, model_file, tmp_path)) == 1
@@ -320,6 +327,21 @@ def test_non_finite_input_is_exit_1(case, model_file, tmp_path, capsys):
     assert out == ""
     assert err.startswith("mathieu-cert: error:") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "k, beta, grid", [(1, 0.4999, "16"), (512, 0.3, "2048"), (1024, 0.3, "2048")]
+)
+def test_averaged_test_is_grid_free(k, beta, grid, tmp_path, capsys):
+    # with quadrature these gave exit 3 (a 2.7e-4 Simpson error in rhs on 16
+    # panels; lhs aliased to 4/3 at k = 512) and exit 1 (mean_phi_a aliased
+    # to ~0 at k = 1024); the closed forms give lhs = 1.5 exactly
+    phi = {"period": TWO_PI, "harmonics": [{"k": k, "cos": 0.0, "sin": -float(k)}]}
+    path = write_model(tmp_path, beta=beta, phi=phi)
+    assert main(["certify", "--model", path, "--mu", "1e-9", "--grid", grid]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["bogolyubov"] == {"holds": True, "lhs": 1.5, "rhs": pytest.approx(1.0 + beta)}
+    assert 0.0 < cert["bound_chain"]["mu0"] < 1e-9
 
 
 def _count_calls(monkeypatch, module, name):

@@ -56,6 +56,10 @@ class TestRk4:
             integrate(oscillator(), 1.0, 0.0, 1.0, 128)
         with pytest.raises(ValueError):
             integrate(oscillator(), 1.0, 0.0, -1.0, 512)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(oscillator(), np.nan, 0.0, 1.0, 512)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_batch(oscillator(), [[0.0, 1.0], [0.0, np.inf]], 1.0, 512)
 
 
 class TestAgainstMatrizant:

@@ -1,5 +1,6 @@
-"""The experiment scripts run end to end, and the layers the benchmark traces exist."""
+"""The experiment scripts run end to end, and what the benchmark calls exists."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -67,3 +68,57 @@ def test_traced_layers_are_defined():
         mod, name = key.split(".")
         fn = getattr(importlib.import_module(f"mathieu_cert.{mod}"), name)
         assert set(params) <= set(inspect.signature(fn).parameters), key
+
+
+def _package_bindings(tree):
+    """Local names that ``import`` statements bind to mathieu_cert objects."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mathieu_cert":
+                    module = importlib.import_module(alias.name)
+                    names[alias.asname or "mathieu_cert"] = module if alias.asname else mathieu_cert
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mathieu_cert":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def _resolve(node, names):
+    """The mathieu_cert object a dotted call target names, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, names)
+        if base is None:
+            return None
+        assert hasattr(base, node.attr), f"{ast.unparse(node)} does not exist"
+        return getattr(base, node.attr)
+    return None
+
+
+def test_benchmark_calls_bind_to_signatures():
+    # the benchmark's files are frozen between its own changes, so a
+    # signature change in src that would break one of its calls must fail here
+    bound = set()
+    for name in ("workloads.py", "worker.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text(encoding="utf-8"))
+        names = _package_bindings(tree)
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            fn = _resolve(call.func, names)
+            if fn is None or inspect.ismodule(fn):
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+            assert all(kw.arg is not None for kw in call.keywords), ast.unparse(call)
+            where = f"perfbench/{name}:{call.lineno}: {ast.unparse(call)}"
+            try:
+                inspect.signature(fn).bind(
+                    *[None] * len(call.args), **{kw.arg: None for kw in call.keywords}
+                )
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from exc
+            bound.add(ast.unparse(call.func))
+    assert {"bogolyubov_condition", "cli.main", "mc.integrate_batch"} <= bound, bound
