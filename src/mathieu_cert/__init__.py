@@ -40,7 +40,6 @@ from .floquet_lyapunov import (
     solve_periodic_lyapunov,
     solve_periodic_lyapunov_scaled,
     spectral_radius_linear_system,
-    spectral_radius_monodromy,
     truncated_lyapunov_sum,
 )
 from .model import (

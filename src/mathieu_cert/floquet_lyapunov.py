@@ -19,10 +19,11 @@ closed-form linear algebra.
 Two numerical hazards near the certified parameter range are handled
 explicitly:
 
-* multipliers sit within ~1e-8 of the unit circle and the one-period
-  discriminant underflows double precision; the spectral radius is
-  extracted by scaled repeated squaring, which unwinds the rotation until
-  the eigenstructure is resolvable;
+* the multipliers sit within about alpha*mu*T/2 of the unit circle, below
+  what Y(T) resolves; tr A is the constant -(alpha + d_alpha)*mu, so
+  Liouville's formula gives det Y(T), and with it the modulus of a complex
+  pair, in closed form, and Z = Y(T) - I only has to tell a complex pair
+  from a real one, which it does at its own scale;
 * the Lyapunov solution in original coordinates has condition of order
   1/mu^2, so the certificate path solves the problem in averaged
   coordinates (where the solution is well conditioned) and maps back
@@ -46,7 +47,6 @@ __all__ = [
     "PeriodicLyapunovSolution",
     "UnstableSystemError",
     "matrizant",
-    "spectral_radius_monodromy",
     "spectral_radius_from_deviation",
     "deviation_matrizant",
     "solve_constant_lyapunov",
@@ -187,83 +187,35 @@ def matrizant(A, T: float, n_steps: int = 4096) -> Matrizant:
 # ---------------------------------------------------------------------------
 # spectra
 
-_DISC_TOL = 1e-9
-_MAX_DOUBLINGS = 60
 
+def _floquet_gap(Z: np.ndarray, log_det: float) -> float:
+    """1 - rho(I + Z), where ``log_det`` = log det(I + Z) is known exactly.
 
-def _radius_if_resolved(m11, m12, m21, m22):
-    """Closed-form 2x2 spectral radius plus a resolution flag.
-
-    The flag is False when the discriminant is numerically indistinguishable
-    from zero, i.e. when the two eigenvalues cannot be separated in double
-    precision; |tr|/2 (the double-root modulus) is returned as the estimate.
+    I + Z and Z share the discriminant (tr Z)^2 - 4 det Z, formed here
+    without cancellation at the scale of Z; its sign separates the cases.  A
+    complex pair has modulus exp(log_det / 2), which Liouville's formula
+    gives exactly however close to the unit circle the pair lies.  A real
+    pair has multipliers 1 + l for the eigenvalues l of Z, the small one
+    taken as det Z / l_big so that it does not cancel.
     """
-    tr = m11 + m22
-    det = m11 * m22 - m12 * m21
-    disc = tr * tr - 4.0 * det
-    scale = tr * tr + 4.0 * abs(det)
-    if abs(disc) <= _DISC_TOL * scale:
-        return 0.5 * abs(tr), False
-    if disc > 0.0:
-        return 0.5 * (abs(tr) + math.sqrt(disc)), True
-    # complex pair: |lambda|^2 = det (> tr^2/4 >= 0 here)
-    return math.sqrt(det), True
+    z11, z12, z21, z22 = (float(x) for x in Z.flat)
+    disc = (z11 - z22) ** 2 + 4.0 * z12 * z21
+    if disc < 0.0:
+        return -math.expm1(0.5 * log_det)
+    tr = z11 + z22
+    l_big = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
+    l_small = (z11 * z22 - z12 * z21) / l_big if l_big != 0.0 else 0.0
+    return min(-l if l >= -1.0 else 2.0 + l for l in (l_big, l_small))
 
 
-def _robust_spectral_radius(M: np.ndarray) -> float:
-    """Spectral radius of a real 2x2 by scaled repeated squaring.
+def spectral_radius_from_deviation(Z: np.ndarray, log_det: float) -> float:
+    """Spectral radius of M = I + Z, computed from Z and log det M.
 
-    rho(M) = rho(M^(2^j))^(1/2^j); squaring separates multiplier pairs that
-    hug the unit circle (slow Floquet rotation) far beyond what one-shot
-    eigenvalue extraction resolves.  Matrices are renormalized at every
-    squaring and the log of the scale is accumulated.
+    ``log_det`` is the Liouville value int_0^T tr A(t) dt of the system
+    whose monodromy matrix is M.  Within ~1e-16 of the unit circle the
+    radius rounds to 1.0; the solvers test the unrounded 1 - rho instead.
     """
-    n = np.array(M, dtype=float)
-    logc = 0.0
-    k = 1
-    for _ in range(_MAX_DOUBLINGS):
-        r, resolved = _radius_if_resolved(n[0, 0], n[0, 1], n[1, 0], n[1, 1])
-        if resolved:
-            break
-        p = n @ n
-        s = float(np.max(np.abs(p)))
-        if s == 0.0:
-            return 0.0
-        n = p / s
-        logc = 2.0 * logc + math.log(s)
-        k *= 2
-    else:
-        r, _ = _radius_if_resolved(n[0, 0], n[0, 1], n[1, 0], n[1, 1])
-    if r == 0.0:
-        return 0.0
-    if k == 1:
-        return r
-    return math.exp((logc + math.log(r)) / k)
-
-
-def spectral_radius_monodromy(m: Matrizant) -> float:
-    """Largest Floquet multiplier modulus of the monodromy matrix Y(T)."""
-    return _robust_spectral_radius(m.monodromy)
-
-
-def spectral_radius_from_deviation(Z: np.ndarray) -> float:
-    """Spectral radius of I + Z computed from Z directly.
-
-    For M = I + Z the characteristic discriminant of M equals that of Z,
-    so eigenvalues are 1 + lambda(Z) with lambda(Z) computed at the scale
-    of Z: no cancellation against the identity occurs even when Z is tiny.
-    """
-    tr = Z[0, 0] + Z[1, 1]
-    det = Z[0, 0] * Z[1, 1] - Z[0, 1] * Z[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        l1 = 0.5 * (tr + root)
-        l2 = 0.5 * (tr - root)
-        return max(abs(1.0 + l1), abs(1.0 + l2))
-    re = 0.5 * tr
-    im2 = -0.25 * disc
-    return math.sqrt((1.0 + re) ** 2 + im2)
+    return 1.0 - _floquet_gap(Z, log_det)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +433,21 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
     :class:`UnstableSystemError` is raised.  Direct-coordinate solve,
     adequate while the solution's condition number is moderate; the
     certificate pipeline uses :func:`solve_periodic_lyapunov_scaled`.
+    The Liouville value int_0^T tr A is integrated over the nodes.
     """
-    mz = matrizant(A, T, n_steps)
-    rho = _robust_spectral_radius(mz.monodromy)
-    if rho >= 1.0 - 1e-9:
+    times, Z = deviation_matrizant(A, T, n_steps)
+    step = T / n_steps
+    trace_A = np.trace(np.broadcast_to(A(times), times.shape + (2, 2)), axis1=1, axis2=2)
+    gap = _floquet_gap(Z[-1], cumulative_simpson(trace_A, step)[-1])
+    if not gap > 0.0:
         raise UnstableSystemError(
-            f"monodromy spectral radius {rho:.12g} is not inside the unit disk"
+            f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk"
         )
-    Y = mz.Y
+    Y = Z + np.eye(2)
     integrand = np.einsum("nji,njk->nik", Y, Y)  # Y^T Y
-    G = cumulative_simpson(integrand, mz.step)
+    G = cumulative_simpson(integrand, step)
     Q = G[-1]
-    X = solve_discrete_lyapunov_2x2(mz.monodromy, Q)
+    X = solve_discrete_lyapunov_2x2(Y[-1], Q)
     invY = _inv_2x2_nodes(Y)
     H = _sandwich(invY, X[None, :, :] - G)
     H = 0.5 * (H + np.transpose(H, (0, 2, 1)))
@@ -500,14 +455,14 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
     if np.min(hmin_nodes) <= 0.0:
         raise UnstableSystemError("periodic Lyapunov solution lost positivity")
     return PeriodicLyapunovSolution(
-        times=mz.times,
+        times=times,
         H=H,
         mu=mu,
         h_min=float(np.min(hmin_nodes)),
         h_max=float(np.max(hnorm_nodes)),
         hmin_nodes=hmin_nodes,
         hnorm_nodes=hnorm_nodes,
-        spectral_radius=rho,
+        spectral_radius=1.0 - gap,
     )
 
 
@@ -524,15 +479,16 @@ def solve_periodic_lyapunov_scaled(
     u-problem with right-hand side -S^T S; its solution H_u is well
     conditioned for all certified mu, and H = S^{-T} H_u S^{-1} is mapped
     back entry by entry.  Eigenvalue extremes use det H = det H_u/(p mu)^2,
-    which keeps h_min meaningful even when h_max/h_min ~ 1/mu^2.
+    which keeps h_min meaningful even when h_max/h_min ~ 1/mu^2.  S is
+    periodic, so the Liouville value int_0^T tr(mu U) is -alpha*mu*T.
     """
     ts = build_u2_u3(lin, tr, mu)
     T = lin.period
     times, Z = deviation_matrizant(lambda t: mu * ts.u_total_at(t), T, n_steps)
-    rho = spectral_radius_from_deviation(Z[-1])
-    if rho >= 1.0 - 1e-9:
+    gap = _floquet_gap(Z[-1], -lin.alpha * mu * T)
+    if not gap > 0.0:
         raise UnstableSystemError(
-            f"monodromy spectral radius {rho:.12g} is not inside the unit disk "
+            f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk "
             f"at mu={mu}"
         )
     a_nodes = tr.a.eval(times)
@@ -575,7 +531,7 @@ def solve_periodic_lyapunov_scaled(
         h_max=float(np.max(hnorm_nodes)),
         hmin_nodes=hmin_nodes,
         hnorm_nodes=hnorm_nodes,
-        spectral_radius=rho,
+        spectral_radius=1.0 - gap,
         factor=_UFactor(H_u=Hu, p=p_nodes, b=b_nodes, mu=mu),
     )
 
@@ -588,17 +544,19 @@ def spectral_radius_linear_system(
 ) -> float:
     """Monodromy spectral radius of v' = A(t,mu) v at one parameter value.
 
-    Uses the averaged deviation form while the change of variables is
-    nondegenerate (best precision near the unit circle) and falls back to
-    the direct matrizant with squaring-based extraction for large mu.
+    Propagates the averaged system mu*U while the change of variables is
+    nondegenerate (best precision near the unit circle) and the direct
+    system A(t,mu) for large mu; both have the Liouville value -alpha*mu*T.
     """
     try:
         ts = build_u2_u3(lin, tr, mu)
     except ValueError:
-        mz = matrizant(system_matrix_entries(lin, mu), lin.period, n_steps)
-        return spectral_radius_monodromy(mz)
-    _, Z = deviation_matrizant(lambda t: mu * ts.u_total_at(t), lin.period, n_steps)
-    return spectral_radius_from_deviation(Z[-1])
+        W = system_matrix_entries(lin, mu)
+    else:
+        def W(t):
+            return mu * ts.u_total_at(t)
+    _, Z = deviation_matrizant(W, lin.period, n_steps)
+    return spectral_radius_from_deviation(Z[-1], -lin.alpha * mu * lin.period)
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,8 @@ def perturbed_spectral_radius_scaled(
     The perturbation is mapped through the same averaging change of
     variables as the nominal system (S is similarity-invariant over one
     period), and the combined right-hand side is integrated in deviation
-    form, so radii within ~1e-12 of unity remain resolvable.
+    form.  Its trace is -(alpha + d_alpha)*mu, which gives the Liouville
+    value of the radius.
     """
     ts = build_u2_u3(lin, tr, mu)
     da = pert.d_alpha
@@ -402,7 +403,7 @@ def perturbed_spectral_radius_scaled(
         return w
 
     _, Z = deviation_matrizant(W, lin.period, n_steps)
-    return spectral_radius_from_deviation(Z[-1])
+    return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
 
 
 def sample_attraction_boundary(

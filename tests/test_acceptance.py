@@ -22,12 +22,13 @@ from mathieu_cert.averaging import (
 from mathieu_cert.bounds import c_matrix_nodes, compute_bound_chain, script_c_positivity
 from mathieu_cert.floquet_lyapunov import (
     bvp_residual,
+    deviation_matrizant,
     krein_envelope,
     matrizant,
     solve_constant_lyapunov,
     solve_periodic_lyapunov,
     solve_periodic_lyapunov_scaled,
-    spectral_radius_monodromy,
+    spectral_radius_from_deviation,
     truncated_lyapunov_sum,
 )
 from mathieu_cert.model import (
@@ -91,6 +92,7 @@ def test_criterion_1_averaged_condition_threshold(grid):
 def test_criterion_2_certified_range_is_stable(grid):
     t0 = time.perf_counter()
     worst = -math.inf
+    jury_ok = True
     count = 0
     for beta in (0.1, 0.25, 0.4):
         for alpha in (0.05, 0.1, 0.5):
@@ -100,15 +102,20 @@ def test_criterion_2_certified_range_is_stable(grid):
             h1 = solve_constant_lyapunov(u1)
             chain = compute_bound_chain(lin, tr, u1, h1)
             for mu in np.geomspace(chain.mu0 / 100.0, chain.mu0, 10):
-                mz = matrizant(system_matrix_entries(lin, float(mu)), TWO_PI, 4096)
-                rho = spectral_radius_monodromy(mz)
+                _, z = deviation_matrizant(system_matrix_entries(lin, float(mu)), TWO_PI, 4096)
+                z = z[-1]
+                rho = spectral_radius_from_deviation(z, -lin.alpha * mu * TWO_PI)
                 worst = max(worst, rho)
+                # Jury test for I + Z, which uses no Liouville value
+                tr, det = z[0, 0] + z[1, 1], z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0]
+                jury_ok &= det > 0.0 and tr + det < 0.0 and 4.0 + 2.0 * tr + det > 0.0
                 count += 1
     elapsed = time.perf_counter() - t0
-    ok = worst < 1.0 and elapsed < 10.0
+    ok = worst < 1.0 and jury_ok and elapsed < 10.0
     _report(2, ok, "monodromy spectrum inside the unit disk on (0, mu0] for 9 models",
             f"{count} parameter points, max radius {worst:.12f}; runtime<10s", elapsed)
     assert worst < 1.0
+    assert jury_ok
     assert elapsed < 10.0
 
 

@@ -12,11 +12,11 @@ from mathieu_cert.bounds import (
     script_c_positivity,
 )
 from mathieu_cert.floquet_lyapunov import (
-    matrizant,
+    deviation_matrizant,
     solve_constant_lyapunov,
     spectral_norm_2x2,
+    spectral_radius_from_deviation,
     spectral_radius_linear_system,
-    spectral_radius_monodromy,
 )
 from mathieu_cert.model import LinearizedSystem, system_matrix_entries
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
@@ -99,8 +99,8 @@ class TestBoundChain:
         # the whole certified interval must pass the monodromy test
         for mu in np.geomspace(chain.mu0 / 100.0, chain.mu0, 4):
             assert spectral_radius_linear_system(lin, transform, float(mu)) < 1.0
-        mz = matrizant(system_matrix_entries(lin, chain.mu0), TWO_PI, 4096)
-        assert spectral_radius_monodromy(mz) < 1.0
+        _, z = deviation_matrizant(system_matrix_entries(lin, chain.mu0), TWO_PI, 4096)
+        assert spectral_radius_from_deviation(z[-1], -lin.alpha * chain.mu0 * TWO_PI) < 1.0
 
 
 class TestCorrectionMatrices:

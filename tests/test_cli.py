@@ -384,3 +384,16 @@ def test_one_propagation_per_command(case, beta, mu, code, solves, tmp_path, mon
     capsys.readouterr()
     assert len(propagations) == 1
     assert len(solve_calls) == solves
+
+
+@pytest.mark.parametrize("beta, mu", [(0.25, "3e-9"), (0.25, "1e-12"), (0.4999, "5e-11")])
+def test_whole_certified_range_exits_0(beta, mu, tmp_path, capsys):
+    # these sat below a fixed 1 - rho >= 1e-9 floor and exited 1, although
+    # 1 - rho = -expm1(-alpha mu T/2) > 0 and mu <= mu0
+    path = write_model(tmp_path, beta=beta)
+    assert main(["certify", "--model", path, "--mu", mu]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert float(mu) <= cert["bound_chain"]["mu0"]
+    assert cert["spectral_radius_at_mu"] < 1.0
+    assert cert["lyapunov"]["h_min"] * float(mu) == pytest.approx(5.0, rel=1e-6)
+    assert cert["lyapunov"]["bvp_residual_scaled"] <= 1e-12

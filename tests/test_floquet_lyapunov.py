@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from mathieu_cert.floquet_lyapunov import (
     UnstableSystemError,
-    _robust_spectral_radius,
+    _floquet_gap,
     bvp_residual,
     deviation_matrizant,
     krein_envelope,
@@ -17,17 +19,19 @@ from mathieu_cert.floquet_lyapunov import (
     spectral_norm_2x2,
     spectral_radius_from_deviation,
     spectral_radius_linear_system,
-    spectral_radius_monodromy,
     truncated_lyapunov_sum,
 )
-from mathieu_cert.averaging import build_u2_u3
+from mathieu_cert.averaging import build_transform, build_u2_u3
 from mathieu_cert.model import LinearizedSystem, system_matrix_entries
-from mathieu_cert.periodic_signal import PeriodicSignal
+from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
 
 from conftest import TWO_PI
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
+# zero or within six decades of the scale, so that no product underflows;
+# up to 4, so that Z reaches multipliers beyond -1
+JURY_ENTRY = st.one_of(st.just(0.0), st.floats(1e-6, 4.0), st.floats(-4.0, -1e-6))
 
 
 def companion(k, alpha):
@@ -41,6 +45,19 @@ def h1_closed_form(k, alpha):
             [1.0 / (2 * k), (1.0 + k) / (2 * alpha * k)],
         ]
     )
+
+
+def liouville_log_det(z):
+    """log det(I + z) = log1p(tr z + det z), from z at its own scale."""
+    return math.log1p(z[0, 0] + z[1, 1] + z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0])
+
+
+def radius(m):
+    """rho(M) from M - I and log det M; the log is read only for a complex
+    pair, where det M > 0."""
+    det = np.linalg.det(m)
+    log_det = math.log(det) if det > 0.0 else -math.inf
+    return spectral_radius_from_deviation(np.asarray(m) - np.eye(2), log_det)
 
 
 def sequential_rk4_deviation(W, T, n):
@@ -118,39 +135,53 @@ class TestMatrizant:
         dets = np.linalg.det(mz.Y)
         np.testing.assert_allclose(dets, np.exp(-0.3 * mu * mz.times), atol=1e-8)
 
+    @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 1.0])
+    def test_liouville_log_det_of_deviation(self, mu):
+        # the radius takes det Y(T) = exp(-alpha*mu*T) from Liouville; the
+        # scan's own determinant, read at the scale of Z, must agree for the
+        # direct system and, since S is periodic, for the averaged mu*U
+        lin = LinearizedSystem(alpha=0.3, beta_hat=-0.25, phi_hat=SIN, period=TWO_PI)
+        systems = [system_matrix_entries(lin, mu)]
+        try:
+            ts = build_u2_u3(lin, build_transform(lin, QuadratureGrid(TWO_PI, 2048)), mu)
+            systems.append(lambda t: mu * ts.u_total_at(t))
+        except ValueError:  # the averaging transform degenerates at mu = 1
+            assert mu > 0.3
+        for W in systems:
+            _, z = deviation_matrizant(W, TWO_PI, 4096)
+            assert liouville_log_det(z[-1]) == pytest.approx(-0.3 * mu * TWO_PI, rel=1e-12)
+
 
 class TestSpectralRadius:
     def test_identity(self):
-        mz = matrizant(lambda t: np.zeros((2, 2)), 1.0, 64)
-        assert spectral_radius_monodromy(mz) == pytest.approx(1.0, abs=1e-12)
+        _, z = deviation_matrizant(lambda t: np.zeros((2, 2)), 1.0, 64)
+        assert spectral_radius_from_deviation(z[-1], 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert _robust_spectral_radius(
-            np.diag([math.exp(-1.0), math.exp(-2.0)])
-        ) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_complex_pair(self):
-        assert _robust_spectral_radius(np.array([[0.0, 1.0], [-0.25, 0.0]])) == 0.5
-
-    def test_defective(self):
-        assert _robust_spectral_radius(np.array([[1.0, 1.0], [0.0, 1.0]])) == pytest.approx(
-            1.0, rel=1e-9
+        assert radius(np.diag([math.exp(-1.0), math.exp(-2.0)])) == pytest.approx(
+            math.exp(-1.0), rel=1e-12
         )
 
+    def test_complex_pair(self):
+        assert radius(np.array([[0.0, 1.0], [-0.25, 0.0]])) == 0.5
+
+    def test_defective(self):
+        assert radius(np.array([[1.0, 1.0], [0.0, 1.0]])) == pytest.approx(1.0, rel=1e-9)
+
     def test_nilpotent(self):
-        assert _robust_spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+        assert radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
 
     @pytest.mark.parametrize("decay", [1e-6, 1e-9, 1e-12])
     def test_near_unit_circle(self, decay):
-        # slow rotation with tiny decay: single-shot eigenvalues cannot
-        # separate this pair, squaring must
+        # slow rotation with tiny decay: the eigenvalues of M cannot separate
+        # this pair, but the discriminant of M - I shows it complex and
+        # log det M gives its modulus
         th = 1e-7
         r = 1.0 - decay
         m = r * np.array(
             [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
         )
-        got = _robust_spectral_radius(m)
-        assert got == pytest.approx(r, abs=1e-13)
+        assert radius(m) == pytest.approx(r, abs=1e-13)
 
     def test_skewed_similarity(self):
         th, decay = 3e-8, 1e-9
@@ -160,25 +191,44 @@ class TestSpectralRadius:
         )
         p = np.diag([1.0, 1e-5])
         m = p @ rot @ np.linalg.inv(p)
-        assert _robust_spectral_radius(m) == pytest.approx(r, abs=1e-11)
+        assert radius(m) == pytest.approx(r, abs=1e-11)
 
     def test_matches_eigvals_when_separated(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             m = rng.normal(size=(2, 2))
             expect = float(np.max(np.abs(np.linalg.eigvals(m))))
-            got = _robust_spectral_radius(m)
-            assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
+            assert radius(m) == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
     def test_deviation_radius_matches(self):
         rng = np.random.default_rng(3)
         for scale in (1e-3, 1e-8, 1e-12):
             z = scale * rng.normal(size=(2, 2))
             expect = float(np.max(np.abs(np.linalg.eigvals(np.eye(2) + z))))
-            got = spectral_radius_from_deviation(z)
+            got = spectral_radius_from_deviation(z, liouville_log_det(z))
             # eigvals of I+z loses precision below ~1e-8; ours should agree
             # at the resolution eigvals still has
             assert got == pytest.approx(expect, abs=1e-8)
+
+    @given(st.lists(JURY_ENTRY, min_size=4, max_size=4), st.floats(-12.0, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_gap_sign_is_jury_test(self, entries, log_scale):
+        # I + Z is Schur stable iff |det M| < 1 and |tr M| < 1 + det M; in
+        # terms of Z alone that is det Z > 0, tr Z + det Z < 0 and
+        # 4 + 2 tr Z + det Z > 0, with no Liouville input.  A condition
+        # within roundoff of its own terms has no sign to compare against.
+        z = 10.0 ** log_scale * np.array(entries).reshape(2, 2)
+        z11, z12, z21, z22 = z.flat
+        tr, det = z11 + z22, z11 * z22 - z12 * z21
+        prods = abs(z11 * z22) + abs(z12 * z21)
+        jury = [
+            (det, prods),
+            (-(tr + det), abs(z11) + abs(z22) + prods),
+            (4.0 + 2.0 * tr + det, 4.0 + 2.0 * (abs(z11) + abs(z22)) + prods),
+        ]
+        assume(all(abs(q) > 1e-15 * terms for q, terms in jury))
+        log_det = math.log1p(tr + det) if tr + det > -1.0 else -math.inf
+        assert (_floquet_gap(z, log_det) > 0.0) == all(q > 0.0 for q, _ in jury)
 
 
 class TestConstantLyapunov:
@@ -267,6 +317,8 @@ class TestPeriodicLyapunov:
             solve_periodic_lyapunov(lambda t: np.array([[0.0, 1.0], [1.0, -0.1]]), TWO_PI, 512)
 
     def test_marginal_rejected(self):
+        # RK4 damps this rotation by about 1e-11 per period, but the pair is
+        # complex and Liouville gives det M = 1 (tr A = 0), so the gap is 0
         with pytest.raises(UnstableSystemError):
             solve_periodic_lyapunov(lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), TWO_PI, 512)
 
@@ -358,7 +410,7 @@ class TestPeriodicLyapunov:
 
     def test_direct_fallback_radius_pinned(self, lin, transform):
         # mu = 1 degenerates the averaging transform, so this is the direct
-        # matrizant with squaring-based extraction
+        # propagation, whose real multiplier pair is read from Z
         with pytest.raises(ValueError):
             build_u2_u3(lin, transform, 1.0)
         rho = spectral_radius_linear_system(lin, transform, 1.0, 4096)

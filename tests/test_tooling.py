@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,13 @@ def test_attraction_demo_script():
     run = _run_script("attraction_demo.py", "--n", "2", "--periods", "1")
     assert run.returncode == 0, run.stderr
     assert "  envelope dominance: all pass" in run.stdout.splitlines()
+
+
+def test_star_imports_resolve():
+    # every name a submodule lists in __all__ must exist, so that a deletion
+    # cannot leave a stale export behind
+    for info in pkgutil.iter_modules(mathieu_cert.__path__):
+        exec(f"from mathieu_cert.{info.name} import *", {})
 
 
 def _tracing_module():
