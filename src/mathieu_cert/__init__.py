@@ -87,7 +87,6 @@ from .simulate import (
     linear_system,
     lyapunov_value,
     nonlinear_system,
-    perturbed_linear_system,
     verify_envelope,
 )
 from .simulate import integrate as integrate_trajectory

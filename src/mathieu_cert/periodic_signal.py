@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,21 +71,6 @@ class PeriodicSignal:
         return out if out.ndim else float(out)
 
     __call__ = eval
-
-    def eval_fn(self) -> Callable[[float], float]:
-        """Fast scalar evaluator for tight integration loops."""
-        w0 = self.base_frequency
-        terms = tuple((k * w0, c, s) for k, c, s in self.harmonics)
-        cos = math.cos
-        sin = math.sin
-
-        def f(t: float) -> float:
-            acc = 0.0
-            for w, c, s in terms:
-                acc += c * cos(w * t) + s * sin(w * t)
-            return acc
-
-        return f
 
     @property
     def mean_square(self) -> float:

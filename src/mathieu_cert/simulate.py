@@ -1,9 +1,12 @@
 """Fixed-step trajectory integration used to validate every certificate.
 
-Classical RK4 with a fixed step tied to the forcing period: certificates
-compare trajectories against analytic envelopes at fixed times, and a fixed
-step makes runs reproducible bit for bit.  Batches of initial conditions
-integrate as one vectorized state array.
+Every simulated system has the Mathieu form y'' + a y' + c(t) g(y) = 0 with
+constant damping a, T-periodic c, and g(y) = y for the linear systems.  One
+classical RK4 loop integrates them all, with a fixed step tied to the period:
+certificates compare trajectories against analytic envelopes at fixed times,
+and a fixed step makes runs reproducible bit for bit.  c is sampled once on
+one period's half-step grid, and y and y' step as separate arrays, so a batch
+of any width, one member included, takes the same path.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "Trajectory",
     "EnvelopeReport",
     "linear_system",
-    "perturbed_linear_system",
     "nonlinear_system",
     "integrate",
     "integrate_batch",
@@ -36,13 +38,14 @@ DIVERGENCE_CUTOFF = 1e12
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Right-hand side with its period and bookkeeping tags.
+    """y'' + damping y' + coef(t) g(y) = 0, with ``period``-periodic ``coef``.
 
-    ``rhs(t, s)`` maps a state array with last axis (y, y') to its
-    derivative, vectorized over leading axes.
+    ``coef`` maps an array of times, and ``g`` an array of positions, elementwise.
     """
 
-    rhs: Callable
+    damping: float
+    coef: Callable
+    g: Callable
     period: float
     mu: float
     tag: str
@@ -57,39 +60,25 @@ class Trajectory:
     diverged: bool = False
 
 
-def _linear_rhs(phi_fn, bm2: float, mu: float, am: float):
-    def rhs(t, s):
-        coef = bm2 + mu * phi_fn(t)
-        d = np.empty_like(s)
-        d[..., 0] = s[..., 1]
-        d[..., 1] = -coef * s[..., 0] - am * s[..., 1]
-        return d
-
-    return rhs
+def _perturbation(pert: Perturbation | None, period: float) -> Perturbation:
+    """``pert`` or the zero perturbation, refused unless it shares ``period``."""
+    if pert is not None and pert.d_phi is not None and pert.d_phi.period != period:
+        raise ValueError("d_phi period must match the system period")
+    return Perturbation.zero() if pert is None else pert
 
 
-def linear_system(lin: LinearizedSystem, mu: float) -> OdeSystem:
-    rhs = _linear_rhs(lin.phi_hat.eval_fn(), lin.beta_hat * mu * mu, mu, lin.alpha * mu)
-    return OdeSystem(rhs=rhs, period=lin.period, mu=mu, tag="linear")
-
-
-def perturbed_linear_system(lin: LinearizedSystem, pert: Perturbation, mu: float) -> OdeSystem:
-    base = lin.phi_hat.eval_fn()
-    dphi = pert.d_phi.eval_fn() if pert.d_phi is not None else None
-    off = pert.d_phi_offset
-    sc = pert.scaling
-
-    def phi_fn(t: float) -> float:
-        extra = off + (dphi(t) if dphi is not None else 0.0)
-        return base(t) + sc * extra
-
-    rhs = _linear_rhs(
-        phi_fn,
-        (lin.beta_hat + pert.d_beta_hat) * mu * mu,
-        mu,
-        (lin.alpha + pert.d_alpha) * mu,
+def linear_system(lin: LinearizedSystem, mu: float, pert: Perturbation | None = None) -> OdeSystem:
+    """y'' + (alpha+da) mu y' + ((beta_hat+db_hat) mu^2 + mu (phi_hat+dphi_hat)(t)) y = 0."""
+    pert = _perturbation(pert, lin.period)
+    bm2 = (lin.beta_hat + pert.d_beta_hat) * mu * mu
+    return OdeSystem(
+        damping=(lin.alpha + pert.d_alpha) * mu,
+        coef=lambda t: bm2 + mu * (lin.phi_hat.eval(t) + pert.d_phi_hat_eval(t)),
+        g=np.positive,  # g(y) = y
+        period=lin.period,
+        mu=mu,
+        tag="linear" if pert.is_zero else "perturbed_linear",
     )
-    return OdeSystem(rhs=rhs, period=lin.period, mu=mu, tag="perturbed_linear")
 
 
 def nonlinear_system(
@@ -101,32 +90,16 @@ def nonlinear_system(
     pert: Perturbation | None = None,
 ) -> OdeSystem:
     """y'' + (alpha+da) mu y' + ((beta+db) mu^2 + mu (phi+dphi)(t)) f(y) = 0."""
-    da = pert.d_alpha if pert is not None else 0.0
-    db = pert.d_beta if pert is not None else 0.0
-    am = (alpha + da) * mu
-    bm2 = (beta + db) * mu * mu
-    phi_fn = phi.eval_fn()
-    dphi = pert.d_phi.eval_fn() if pert is not None and pert.d_phi is not None else None
-    off = pert.d_phi_offset if pert is not None else 0.0
-
-    def rhs(t, s):
-        ph = phi_fn(t) + off + (dphi(t) if dphi is not None else 0.0)
-        coef = bm2 + mu * ph
-        d = np.empty_like(s)
-        d[..., 0] = s[..., 1]
-        d[..., 1] = -am * s[..., 1] - coef * f.value(s[..., 0])
-        return d
-
-    tag = "nonlinear" if pert is None or pert.is_zero else "perturbed_nonlinear"
-    return OdeSystem(rhs=rhs, period=phi.period, mu=mu, tag=tag)
-
-
-def _rk4_step(rhs, t, s, h):
-    k1 = rhs(t, s)
-    k2 = rhs(t + 0.5 * h, s + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, s + (0.5 * h) * k2)
-    k4 = rhs(t + h, s + h * k3)
-    return s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    pert = _perturbation(pert, phi.period)
+    bm2 = (beta + pert.d_beta) * mu * mu
+    return OdeSystem(
+        damping=(alpha + pert.d_alpha) * mu,
+        coef=lambda t: bm2 + mu * (phi.eval(t) + pert.d_phi_eval(t)),
+        g=f.value,
+        period=phi.period,
+        mu=mu,
+        tag="nonlinear" if pert.is_zero else "perturbed_nonlinear",
+    )
 
 
 def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: int, stride: int):
@@ -141,28 +114,36 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
     s = np.array(init, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("initial states must be finite")
-    n_members = s.shape[0]
-    rec_idx = [0]
-    rec = [s.copy()]
-    frozen = np.zeros(n_members, dtype=bool)
+    # c(t) at the start, midpoint and end of each step of one period; step i
+    # starts at (i-1) h, which c sees as the step (i-1) % steps_per_period
+    c = system.coef(np.arange(2 * steps_per_period + 1) * (0.5 * h)).tolist()
+    table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
+    a, g = system.damping, system.g
+    hh, h6 = 0.5 * h, h / 6.0
+    y, v = s[:, 0], s[:, 1]
+    frozen = np.zeros(len(s), dtype=bool)
+    rec_idx, rec = [0], [(y, v)]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_total + 1):
-            nxt = _rk4_step(system.rhs, (i - 1) * h, s, h)
-            bad = ~np.isfinite(nxt).all(axis=-1) | (
-                np.abs(nxt).max(axis=-1) > DIVERGENCE_CUTOFF
-            )
-            newly = bad & ~frozen
-            if newly.any():
-                nxt[newly] = s[newly]  # hold the last bounded state
-                frozen |= newly
-            if frozen.any():
-                nxt[frozen] = s[frozen]
-            s = nxt
+            c0, cm, c1 = table[(i - 1) % steps_per_period]
+            k1 = -a * v - c0 * g(y)
+            y2, v2 = y + hh * v, v + hh * k1
+            k2 = -a * v2 - cm * g(y2)
+            y3, v3 = y + hh * v2, v + hh * k2
+            k3 = -a * v3 - cm * g(y3)
+            y4, v4 = y + h * v3, v + h * k3
+            k4 = -a * v4 - c1 * g(y4)
+            yn = y + h6 * (v + 2.0 * (v2 + v3) + v4)
+            vn = v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            # NaN and inf fail the comparison too; a failed member holds its
+            # last bounded state from here on
+            frozen |= ~(np.maximum(np.abs(yn), np.abs(vn)) <= DIVERGENCE_CUTOFF)
+            y, v = np.where(frozen, y, yn), np.where(frozen, v, vn)
             if i % stride == 0 or i == n_total:
                 rec_idx.append(i)
-                rec.append(s.copy())
+                rec.append((y, v))
     times = np.array(rec_idx, dtype=float) * h
-    states = np.stack(rec, axis=0)  # (m, n_members, 2)
+    states = np.array(rec).transpose(0, 2, 1)  # (m, n_members, 2)
     return times, states, frozen
 
 
@@ -182,9 +163,7 @@ def integrate(
     diverged = bool(frozen[0])
     if diverged:
         # drop the held-constant tail: keep records up to the last moving one
-        moving = np.nonzero(
-            np.any(np.diff(states, axis=0) != 0.0, axis=1)
-        )[0]
+        moving = np.nonzero(np.any(np.diff(states, axis=0) != 0.0, axis=1))[0]
         last = (moving[-1] + 1) if len(moving) else 0
         times, states = times[: last + 1], states[: last + 1]
     return Trajectory(
@@ -204,17 +183,10 @@ def integrate_batch(
     Members that diverge are held at their last bounded state and flagged;
     the shared time grid is kept so envelopes can be checked columnwise.
     """
-    inits = np.asarray(inits, dtype=float)
     times, states, frozen = _run(system, inits, t_end, steps_per_period, record_stride)
     return [
-        Trajectory(
-            times=times,
-            states=states[:, i, :],
-            mu=system.mu,
-            system_tag=system.tag,
-            diverged=bool(frozen[i]),
-        )
-        for i in range(inits.shape[0])
+        Trajectory(times, states[:, i], system.mu, system.tag, diverged=bool(frozen[i]))
+        for i in range(len(frozen))
     ]
 
 

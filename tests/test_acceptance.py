@@ -51,7 +51,6 @@ from mathieu_cert.simulate import (
     integrate_batch,
     linear_system,
     nonlinear_system,
-    perturbed_linear_system,
     verify_envelope,
 )
 
@@ -230,7 +229,7 @@ def test_criterion_5_linear_robustness_budgets(pendulum_model, lin, transform, s
     for i, pert in enumerate(perts):
         n_ic = 3 if i < 10 else 2
         inits = rng.uniform(-1.0, 1.0, size=(n_ic, 2))
-        system = perturbed_linear_system(lin, pert, sol.mu)
+        system = linear_system(lin, sol.mu, pert)
         trajs = integrate_batch(system, inits, 5 * TWO_PI, 1024, record_stride=8)
         for traj in trajs:
             v0sq = float(traj.states[0] @ traj.states[0])

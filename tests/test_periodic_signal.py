@@ -38,12 +38,6 @@ class TestEval:
         t = np.linspace(0, TWO_PI, 7)
         np.testing.assert_allclose(SIN.eval(t), np.sin(t), atol=1e-15)
 
-    def test_eval_fn_matches(self):
-        s = PeriodicSignal(TWO_PI, ((1, 0.3, -1.2), (3, 0.0, 0.7)))
-        f = s.eval_fn()
-        for t in (0.0, 0.37, 2.0, 6.0):
-            assert f(t) == pytest.approx(s.eval(t), abs=1e-15)
-
 
 class TestValidation:
     def test_negative_period(self):

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from mathieu_cert.floquet_lyapunov import matrizant, solve_periodic_lyapunov
-from mathieu_cert.model import Nonlinearity, system_matrix_entries
+from mathieu_cert.model import Nonlinearity, shift_to_zero, system_matrix_entries
 from mathieu_cert.periodic_signal import PeriodicSignal
 from mathieu_cert.robustness import Perturbation
 from mathieu_cert.simulate import (
-    OdeSystem,
+    Trajectory,
     integrate,
     integrate_batch,
     linear_system,
     lyapunov_value,
     nonlinear_system,
-    perturbed_linear_system,
     verify_envelope,
 )
 
@@ -20,12 +19,16 @@ from conftest import TWO_PI
 from test_robustness import constant_sol
 
 
+def autonomous(*coeffs):
+    # y'' + f(y) = 0 for the polynomial f with these coefficients
+    return nonlinear_system(
+        0.0, 1.0, PeriodicSignal(TWO_PI, ()), Nonlinearity("polynomial", coeffs), 1.0
+    )
+
+
 def oscillator():
     # y'' = -y, the integrator self-test system
-    def rhs(t, s):
-        return np.stack([s[..., 1], -s[..., 0]], axis=-1)
-
-    return OdeSystem(rhs=rhs, period=TWO_PI, mu=0.0, tag="linear")
+    return autonomous(1.0)
 
 
 class TestRk4:
@@ -72,6 +75,33 @@ class TestAgainstMatrizant:
         np.testing.assert_allclose(e1.states[-1], mz.monodromy[:, 0], atol=1e-8)
         np.testing.assert_allclose(e2.states[-1], mz.monodromy[:, 1], atol=1e-8)
 
+    def test_perturbed_columns_mid_period(self, lin):
+        # 2.5 periods: the coefficient table wraps twice and the run ends
+        # half way through it; A(t) is built by hand from the model formula
+        mu, scaling = 0.05, -1.0  # scaling = f'(pi) of the pendulum
+        d_phi = PeriodicSignal(TWO_PI, ((2, 0.1, 0.05),))
+        pert = Perturbation(0.02, -0.01, d_phi, 0.03, scaling)
+
+        def A(t):
+            t = np.asarray(t, dtype=float)
+            d_phi_t = 0.03 + 0.1 * np.cos(2.0 * t) + 0.05 * np.sin(2.0 * t)
+            c = (lin.beta_hat - 0.01 * scaling) * mu**2 + mu * (
+                lin.phi_hat.eval(t) + scaling * d_phi_t
+            )
+            out = np.zeros(t.shape + (2, 2))
+            out[..., 0, 1] = 1.0
+            out[..., 1, 0] = -c
+            out[..., 1, 1] = -(lin.alpha + 0.02) * mu
+            return out
+
+        t_end = 2.5 * TWO_PI
+        Y = matrizant(A, t_end, 10240).Y[-1]
+        system = linear_system(lin, mu, pert)
+        for col, (y0, y1) in enumerate(np.eye(2)):
+            traj = integrate(system, y0, y1, t_end, 4096, record_stride=4096)
+            assert traj.times[-1] == pytest.approx(t_end, rel=1e-14)
+            np.testing.assert_allclose(traj.states[-1], Y[:, col], atol=1e-8)
+
 
 class TestEnergyDrift:
     def test_undamped_quadratic_invariant(self):
@@ -89,20 +119,14 @@ class TestEnergyDrift:
 
 class TestDivergence:
     def test_truncation_and_flag(self):
-        def rhs(t, s):
-            return np.stack([s[..., 1], 50.0 * s[..., 0]], axis=-1)
-
-        system = OdeSystem(rhs=rhs, period=TWO_PI, mu=0.0, tag="linear")
+        system = autonomous(-50.0)  # y'' = 50 y
         traj = integrate(system, 1.0, 0.0, 10 * TWO_PI, 512, record_stride=8)
         assert traj.diverged
         assert np.all(np.isfinite(traj.states))
         assert traj.times[-1] < 10 * TWO_PI  # truncated before the horizon
 
     def test_batch_freezes_divergent_member(self):
-        def rhs(t, s):
-            return np.stack([s[..., 1], 50.0 * s[..., 0]], axis=-1)
-
-        system = OdeSystem(rhs=rhs, period=TWO_PI, mu=0.0, tag="linear")
+        system = autonomous(-50.0)  # y'' = 50 y
         trajs = integrate_batch(
             system, np.array([[1.0, 0.0], [0.0, 0.0]]), 8 * TWO_PI, 512, record_stride=8
         )
@@ -110,10 +134,28 @@ class TestDivergence:
         assert np.all(np.isfinite(trajs[0].states))
         np.testing.assert_array_equal(trajs[1].states, 0.0)
 
+    def test_non_finite_step_holds_initial_state(self):
+        # f(1e11) = 1e300 * 1e33 overflows: the first step is inf or NaN
+        system = autonomous(0.0, 0.0, 1e300)
+        traj = integrate(system, 1e11, 0.0, TWO_PI, 512, record_stride=8)
+        assert traj.diverged
+        assert np.all(np.isfinite(traj.states))
+        assert np.all(traj.states == [1e11, 0.0])
+
 
 class TestBatchConsistency:
-    def test_matches_single_runs(self, lin):
-        system = linear_system(lin, 0.05)
+    @pytest.mark.parametrize("tag", ["linear", "perturbed_nonlinear"])
+    def test_matches_single_runs(self, tag, lin, pendulum_model):
+        # one integration path for every width: batch members are bit-identical
+        if tag == "linear":
+            system = linear_system(lin, 0.05)
+        else:
+            m = pendulum_model
+            pert = Perturbation.for_model(
+                m, 0.02, -0.01, PeriodicSignal(TWO_PI, ((2, 0.1, 0.05),)), 0.03
+            )
+            system = nonlinear_system(m.alpha, m.beta, m.phi, shift_to_zero(m), 0.05, pert)
+        assert system.tag == tag
         inits = np.array([[1.0, 0.0], [0.2, -0.7], [0.0, 1.0]])
         batch = integrate_batch(system, inits, 3 * TWO_PI, 512, record_stride=32)
         for init, traj in zip(inits, batch):
@@ -160,13 +202,11 @@ class TestVerifyEnvelope:
         assert report.passed and report.max_margin <= -1.0 + 1e-12
 
     def test_exact_constant_case(self):
-        # A = -I decays exactly like its envelope
-        def rhs(t, s):
-            return -s
-
-        system = OdeSystem(rhs=rhs, period=1.0, mu=0.0, tag="linear")
+        # the exact flow exp(-t) v0 of A = -I decays exactly like its envelope
         sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
-        traj = integrate(system, 0.6, -0.8, 5.0, 512, record_stride=16)
+        times = np.linspace(0.0, 5.0, 161)
+        states = np.exp(-times)[:, None] * np.array([0.6, -0.8])
+        traj = Trajectory(times=times, states=states, mu=0.0, system_tag="linear")
         from mathieu_cert.floquet_lyapunov import krein_envelope
 
         report = verify_envelope(traj, lambda t: krein_envelope(sol, 1.0, t))
@@ -184,11 +224,13 @@ class TestPerturbedSystem:
     def test_zero_perturbation_matches_nominal(self, lin):
         pert = Perturbation.zero()
         s1 = linear_system(lin, 0.03)
-        s2 = perturbed_linear_system(lin, pert, 0.03)
+        s2 = linear_system(lin, 0.03, pert)
         t1 = integrate(s1, 1.0, 0.5, TWO_PI, 512, record_stride=32)
         t2 = integrate(s2, 1.0, 0.5, TWO_PI, 512, record_stride=32)
         np.testing.assert_array_equal(t1.states, t2.states)
-        assert t2.system_tag == "perturbed_linear"
+        # the tag says whether the perturbation is non-zero, as for nonlinear systems
+        assert t2.system_tag == "linear"
+        assert linear_system(lin, 0.03, Perturbation(0.01, 0.0)).tag == "perturbed_linear"
 
     def test_nonlinear_tags(self, pendulum_model):
         m = pendulum_model
@@ -198,3 +240,12 @@ class TestPerturbedSystem:
         )
         assert s_plain.tag == "nonlinear"
         assert s_pert.tag == "perturbed_nonlinear"
+
+    def test_period_mismatch_rejected(self, lin, pendulum_model):
+        # the coefficient table covers one system period, so d_phi must share it
+        m = pendulum_model
+        pert = Perturbation.for_model(m, d_phi=PeriodicSignal(2.0 * TWO_PI, ((1, 0.1, 0.0),)))
+        with pytest.raises(ValueError, match="period"):
+            linear_system(lin, 0.03, pert)
+        with pytest.raises(ValueError, match="period"):
+            nonlinear_system(m.alpha, m.beta, m.phi, m.f, 0.03, pert)

@@ -130,3 +130,15 @@ def test_benchmark_calls_bind_to_signatures():
                 raise AssertionError(f"{where}: {exc}") from exc
             bound.add(ast.unparse(call.func))
     assert {"bogolyubov_condition", "cli.main", "mc.integrate_batch"} <= bound, bound
+
+
+def test_traced_step_count_matches_integration():
+    # tracing.py counts RK4 steps from system.period; a stride-1 run records
+    # the initial state and then one state per step
+    tracing = _tracing_module()
+    phi = mathieu_cert.PeriodicSignal(3.0, ((1, 0.0, -1.0),))
+    f = mathieu_cert.Nonlinearity("pendulum_sine", scale=-1.0)
+    system = mathieu_cert.nonlinear_system(0.1, 0.25, phi, f, 0.05)
+    for t_end in (0.01, 3.0, 5.1):
+        traj = mathieu_cert.integrate_trajectory(system, 0.1, 0.0, t_end, 256)
+        assert tracing._steps(system, t_end, 256) == len(traj.times) - 1, t_end
