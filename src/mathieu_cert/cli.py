@@ -488,14 +488,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, need_mu: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, need_mu: bool = True, formats: tuple = ("json", "csv")
+) -> None:
     p.add_argument("--model", required=True, help="model or pendulum-parameter JSON file")
     if need_mu:
         p.add_argument("--mu", type=float, default=None, help="small parameter value")
     p.add_argument("--grid", type=int, default=2048, help="quadrature panels per period")
     p.add_argument("--steps", type=int, default=4096, help="integrator steps per period")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_margins)
 
     p = sub.add_parser("simulate", help="nonlinear trajectory with envelope columns")
-    _add_common(p)
+    # the trajectory table is CSV only; exits 2 and 3 write the certificate JSON
+    _add_common(p, formats=("csv",))
     p.add_argument("--pert", default=None, help="perturbation JSON file")
     p.add_argument("--rho", type=float, default=None, help="quadratic remainder radius")
     p.add_argument("--y0", type=float, required=True, help="initial deviation")

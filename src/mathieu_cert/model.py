@@ -61,6 +61,18 @@ class Nonlinearity:
             raise ValueError("scale must be nonzero")
 
     def value(self, y):
+        """f(y) elementwise; a Python float gives a float equal bit for bit to the array result."""
+        if isinstance(y, float):
+            x = self.shift + y
+            if self.kind == "pendulum_sine":
+                try:
+                    return self.scale * math.sin(x)
+                except ValueError:  # x = +-inf, where np.sin gives NaN
+                    return math.nan
+            out = 0.0
+            for c in reversed(self.coeffs):
+                out = x * (out + c)
+            return out
         y = np.asarray(y, dtype=float)
         x = self.shift + y
         if self.kind == "pendulum_sine":

@@ -5,8 +5,9 @@ constant damping a, T-periodic c, and g(y) = y for the linear systems.  One
 classical RK4 loop integrates them all, with a fixed step tied to the period:
 certificates compare trajectories against analytic envelopes at fixed times,
 and a fixed step makes runs reproducible bit for bit.  c is sampled once on
-one period's half-step grid, and y and y' step as separate arrays, so a batch
-of any width, one member included, takes the same path.
+one period's half-step grid.  y and y' step as separate arrays for a batch,
+and as Python floats for a single member, through the same step expression
+and the same hold rule, so a single run equals its batch member bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ DIVERGENCE_CUTOFF = 1e12
 class OdeSystem:
     """y'' + damping y' + coef(t) g(y) = 0, with ``period``-periodic ``coef``.
 
-    ``coef`` maps an array of times, and ``g`` an array of positions, elementwise.
+    ``coef`` maps an array of times elementwise.  ``g`` maps positions
+    elementwise and takes both an array (batches) and a Python float (single
+    runs, where a float result keeps the loop on float arithmetic).
     """
 
     damping: float
@@ -74,7 +77,7 @@ def linear_system(lin: LinearizedSystem, mu: float, pert: Perturbation | None = 
     return OdeSystem(
         damping=(lin.alpha + pert.d_alpha) * mu,
         coef=lambda t: bm2 + mu * (lin.phi_hat.eval(t) + pert.d_phi_hat_eval(t)),
-        g=np.positive,  # g(y) = y
+        g=_identity,
         period=lin.period,
         mu=mu,
         tag="linear" if pert.is_zero else "perturbed_linear",
@@ -102,6 +105,10 @@ def nonlinear_system(
     )
 
 
+def _identity(y):
+    return y
+
+
 def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: int, stride: int):
     if steps_per_period < 256:
         raise ValueError("steps_per_period must be at least 256")
@@ -120,31 +127,52 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
     table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
     a, g = system.damping, system.g
     hh, h6 = 0.5 * h, h / 6.0
-    y, v = s[:, 0], s[:, 1]
-    frozen = np.zeros(len(s), dtype=bool)
-    rec_idx, rec = [0], [(y, v)]
+
+    def step(y, v, c0, cm, c1):
+        k1 = -a * v - c0 * g(y)
+        y2, v2 = y + hh * v, v + hh * k1
+        k2 = -a * v2 - cm * g(y2)
+        y3, v3 = y + hh * v2, v + hh * k2
+        k3 = -a * v3 - cm * g(y3)
+        y4, v4 = y + h * v3, v + h * k3
+        k4 = -a * v4 - c1 * g(y4)
+        return y + h6 * (v + 2.0 * (v2 + v3) + v4), v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+
+    rec_idx = list(range(0, n_total + 1, stride))
+    if rec_idx[-1] != n_total:
+        rec_idx.append(n_total)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_total + 1):
-            c0, cm, c1 = table[(i - 1) % steps_per_period]
-            k1 = -a * v - c0 * g(y)
-            y2, v2 = y + hh * v, v + hh * k1
-            k2 = -a * v2 - cm * g(y2)
-            y3, v3 = y + hh * v2, v + hh * k2
-            k3 = -a * v3 - cm * g(y3)
-            y4, v4 = y + h * v3, v + h * k3
-            k4 = -a * v4 - c1 * g(y4)
-            yn = y + h6 * (v + 2.0 * (v2 + v3) + v4)
-            vn = v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            # NaN and inf fail the comparison too; a failed member holds its
-            # last bounded state from here on
-            frozen |= ~(np.maximum(np.abs(yn), np.abs(vn)) <= DIVERGENCE_CUTOFF)
-            y, v = np.where(frozen, y, yn), np.where(frozen, v, vn)
-            if i % stride == 0 or i == n_total:
-                rec_idx.append(i)
-                rec.append((y, v))
-    times = np.array(rec_idx, dtype=float) * h
-    states = np.array(rec).transpose(0, 2, 1)  # (m, n_members, 2)
-    return times, states, frozen
+        if len(s) == 1:
+            # one member steps on Python floats: on 1-element arrays numpy's
+            # per-call overhead costs more than the arithmetic itself
+            y, v = s[0].tolist()
+            rec, diverged = [(y, v)], False
+            for i in range(1, n_total + 1):
+                yn, vn = step(y, v, *table[(i - 1) % steps_per_period])
+                # NaN and inf fail the comparison too, as in the batch loop
+                if not (abs(yn) <= DIVERGENCE_CUTOFF and abs(vn) <= DIVERGENCE_CUTOFF):
+                    diverged = True
+                    break
+                y, v = yn, vn
+                if i % stride == 0 or i == n_total:
+                    rec.append((y, v))
+            # a failed run holds its last bounded state to the end
+            rec += [(y, v)] * (len(rec_idx) - len(rec))
+            states, frozen = np.array(rec)[:, None, :], np.array([diverged])
+        else:
+            y, v = s[:, 0], s[:, 1]
+            frozen = np.zeros(len(s), dtype=bool)
+            rec = [(y, v)]
+            for i in range(1, n_total + 1):
+                yn, vn = step(y, v, *table[(i - 1) % steps_per_period])
+                # NaN and inf fail the comparison too; a failed member holds
+                # its last bounded state from here on
+                frozen |= ~(np.maximum(np.abs(yn), np.abs(vn)) <= DIVERGENCE_CUTOFF)
+                y, v = np.where(frozen, y, yn), np.where(frozen, v, vn)
+                if i % stride == 0 or i == n_total:
+                    rec.append((y, v))
+            states = np.array(rec).transpose(0, 2, 1)  # (m, n_members, 2)
+    return np.array(rec_idx, dtype=float) * h, states, frozen
 
 
 def integrate(

@@ -200,6 +200,17 @@ class TestSimulate:
         assert main(["simulate", "--model", model_file, "--mu", "0.02",
                      "--y0", "0.1", "--y1", "0", "--t-end", "6.5"]) == 2
 
+    def test_format_is_csv_only(self, model_file, capsys):
+        argv = ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "0",
+                "--y1", "0", "--t-end", "6.5", "--steps", "1024", "--stride", "256"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == default
+        assert main([*argv, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'json'" in captured.err
+
 
 class TestSweep:
     def test_chart_rows_and_consistency(self, model_file, capsys):

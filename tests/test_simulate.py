@@ -142,18 +142,34 @@ class TestDivergence:
         assert np.all(np.isfinite(traj.states))
         assert np.all(traj.states == [1e11, 0.0])
 
+    def test_overflowing_sine_stage_holds_initial_state(self, pendulum_model):
+        # c = beta mu^2 overflows to inf, so a stage of the first step sends
+        # sin an infinite argument; the run must fail the bound test, not raise
+        m = pendulum_model
+        system = nonlinear_system(m.alpha, m.beta, m.phi, shift_to_zero(m), 1e200)
+        traj = integrate(system, 0.1, 0.0, TWO_PI, 512, record_stride=8)
+        assert traj.diverged
+        assert np.all(np.isfinite(traj.states))
+        assert np.all(traj.states == [0.1, 0.0])
+
 
 class TestBatchConsistency:
-    @pytest.mark.parametrize("tag", ["linear", "perturbed_nonlinear"])
+    @pytest.mark.parametrize(
+        "tag", ["linear", "perturbed_linear", "nonlinear", "perturbed_nonlinear"]
+    )
     def test_matches_single_runs(self, tag, lin, pendulum_model):
-        # one integration path for every width: batch members are bit-identical
-        if tag == "linear":
-            system = linear_system(lin, 0.05)
+        # a single run steps on floats, a batch on arrays, with the same
+        # arithmetic: batch members are bit-identical to single runs
+        m = pendulum_model
+        pert = Perturbation.for_model(
+            m, 0.02, -0.01, PeriodicSignal(TWO_PI, ((2, 0.1, 0.05),)), 0.03
+        )
+        if "nonlinear" not in tag:
+            system = linear_system(lin, 0.05, pert if tag.startswith("perturbed") else None)
+        elif tag == "nonlinear":
+            cubic = Nonlinearity("polynomial", (-1.0, 0.1, 0.2))
+            system = nonlinear_system(m.alpha, m.beta, m.phi, cubic, 0.05)
         else:
-            m = pendulum_model
-            pert = Perturbation.for_model(
-                m, 0.02, -0.01, PeriodicSignal(TWO_PI, ((2, 0.1, 0.05),)), 0.03
-            )
             system = nonlinear_system(m.alpha, m.beta, m.phi, shift_to_zero(m), 0.05, pert)
         assert system.tag == tag
         inits = np.array([[1.0, 0.0], [0.2, -0.7], [0.0, 1.0]])
@@ -162,6 +178,47 @@ class TestBatchConsistency:
             single = integrate(system, init[0], init[1], 3 * TWO_PI, 512, record_stride=32)
             np.testing.assert_array_equal(single.states, traj.states)
             np.testing.assert_array_equal(single.times, traj.times)
+
+    def test_diverging_member_matches_single_run(self):
+        # y'' = -y + y^3 blows up in finite time from y = 2 and oscillates from 0.5
+        system = autonomous(1.0, 0.0, -1.0)
+        inits = np.array([[0.5, 0.0], [2.0, 0.0]])
+        bounded, blown = integrate_batch(system, inits, 4 * TWO_PI, 512, record_stride=8)
+        assert blown.diverged and not bounded.diverged
+        single = integrate(system, 2.0, 0.0, 4 * TWO_PI, 512, record_stride=8)
+        assert single.diverged
+        kept = len(single.times)
+        assert kept < len(blown.times)
+        np.testing.assert_array_equal(single.times, blown.times[:kept])
+        np.testing.assert_array_equal(single.states, blown.states[:kept])
+        # untruncated, the float path holds the same state over the same grid
+        (held,) = integrate_batch(system, inits[1:], 4 * TWO_PI, 512, record_stride=8)
+        assert held.diverged
+        np.testing.assert_array_equal(held.times, blown.times)
+        np.testing.assert_array_equal(held.states, blown.states)
+
+
+class TestNonlinearityOnFloats:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Nonlinearity("pendulum_sine", (), 3.0, -1.0),
+            Nonlinearity("pendulum_sine", (), 0.0, 2.5),
+            Nonlinearity("polynomial", (-1.0, 0.1, 0.2)),
+            Nonlinearity("polynomial", (2.0,), 0.7),
+        ],
+    )
+    def test_float_matches_array_bit_for_bit(self, f):
+        rng = np.random.default_rng(7)
+        ys = np.concatenate(
+            [rng.uniform(-4.0, 4.0, 200), 10.0 ** rng.uniform(-300.0, 200.0, 100),
+             [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = f.value(ys)
+        got = [f.value(y) for y in ys.tolist()]
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(np.array(got), expected)
 
 
 class TestLyapunovValue:
