@@ -74,7 +74,6 @@ from .robustness import (
     epsilon_fn,
     linear_budget,
     nonlinear_budget,
-    perturbed_spectral_radius_scaled,
     q_of_mu,
     q_tilde,
     sample_attraction_boundary,

@@ -16,7 +16,7 @@ what certifies asymptotic stability on the whole range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,19 +59,7 @@ class BoundChain:
     mu_bar_capped: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "phi_max": self.phi_max,
-            "a_const": self.a_const,
-            "a_const_signed": self.a_const_signed,
-            "mu_bar": self.mu_bar,
-            "norm_u1": self.norm_u1,
-            "norm_h1": self.norm_h1,
-            "L1": self.L1,
-            "mu1": self.mu1,
-            "L2": self.L2,
-            "mu0": self.mu0,
-            "mu_bar_capped": self.mu_bar_capped,
-        }
+        return asdict(self)
 
 
 def compute_bound_chain(

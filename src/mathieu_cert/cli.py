@@ -213,15 +213,11 @@ def load_model(path: str) -> tuple[MathieuModel, float | None]:
     """Load a model file; pendulum physical-parameter files also fix mu = a/l."""
     data = _load_json(path)
     if _PENDULUM_KEYS.issubset(data.keys()):
-        params = PendulumParams(
-            length_l=float(data["length_l"]),
-            gravity_g=float(data["gravity_g"]),
-            friction_lambda=float(data["friction_lambda"]),
-            amplitude_a=float(data["amplitude_a"]),
-            frequency_omega=float(data["frequency_omega"]),
-        )
-        model, mu = pendulum_reduce(params)
-        return model, mu
+        try:
+            params = PendulumParams(**{k: float(data[k]) for k in sorted(_PENDULUM_KEYS)})
+        except TypeError as exc:  # the key check above rules out KeyError
+            raise ValueError(f"malformed pendulum parameters: {exc}") from exc
+        return pendulum_reduce(params)
     return model_from_dict(data), None
 
 
@@ -530,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="spectral-radius chart over (beta, mu)")
-    _add_common(p, need_mu=False)
+    _add_common(p, need_mu=False, formats=("csv",))
     p.add_argument("--mu-grid", required=True, dest="mu_grid", help="e.g. log:1e-4:1e-1:20")
     p.add_argument("--beta-grid", required=True, dest="beta_grid", help="e.g. lin:0.1:0.6:11")
     p.set_defaults(func=_cmd_sweep)

@@ -251,56 +251,28 @@ def solve_constant_lyapunov(u1: np.ndarray) -> np.ndarray:
     return _mat_sym(x)
 
 
-def _refined_solve(a: np.ndarray, rhs_fn, x0: np.ndarray, rounds: int = 2) -> np.ndarray:
-    """Iterative refinement with the residual accumulated in extended precision."""
-    x = x0
-    for _ in range(rounds):
-        r = rhs_fn(x)
-        if not np.all(np.isfinite(r)):
-            break
-        x = x + np.linalg.solve(a, r.astype(float))
-    return x
-
-
-def solve_discrete_lyapunov_2x2(M: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """X = M^T X M + Q for symmetric Q, direct 3x3 solve plus refinement."""
-    M = np.asarray(M, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    cols = [_vec_sym(e - M.T @ e @ M) for e in _E_BASIS]
-    a = np.column_stack(cols)
-    x0 = np.linalg.solve(a, _vec_sym(Q))
-    ml = M.astype(np.longdouble)
-    ql = Q.astype(np.longdouble)
-
-    def residual(x):
-        xl = _mat_sym(x).astype(np.longdouble)
-        r = ql - (xl - ml.T @ xl @ ml)
-        return _vec_sym(r)
-
-    return _mat_sym(_refined_solve(a, residual, x0))
-
-
 def _solve_discrete_lyapunov_deviation(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """X = M^T X M + Q with M = I + Z, posed at the scale of Z.
 
     Rearranged as Z^T X + X Z + Z^T X Z = -Q the identity cancels
     analytically, which drops the condition number of the 3x3 system from
-    norm(M)^2/(1-rho^2) to roughly norm(Z)/(1-rho^2).
+    norm(M)^2/(1-rho^2) to roughly norm(Z)/(1-rho^2).  Two rounds of
+    iterative refinement accumulate the residual in extended precision.
     """
     Z = np.asarray(Z, dtype=float)
     Q = np.asarray(Q, dtype=float)
     cols = [_vec_sym(Z.T @ e + e @ Z + Z.T @ e @ Z) for e in _E_BASIS]
     a = np.column_stack(cols)
-    x0 = np.linalg.solve(a, _vec_sym(-Q))
+    x = np.linalg.solve(a, _vec_sym(-Q))
     zl = Z.astype(np.longdouble)
     ql = Q.astype(np.longdouble)
-
-    def residual(x):
+    for _ in range(2):
         xl = _mat_sym(x).astype(np.longdouble)
-        r = -ql - (zl.T @ xl + xl @ zl + zl.T @ xl @ zl)
-        return _vec_sym(r)
-
-    return _mat_sym(_refined_solve(a, residual, x0))
+        r = _vec_sym(-ql - (zl.T @ xl + xl @ zl + zl.T @ xl @ zl))
+        if not np.all(np.isfinite(r)):
+            break
+        x = x + np.linalg.solve(a, r.astype(float))
+    return _mat_sym(x)
 
 
 def truncated_lyapunov_sum(M: np.ndarray, Q: np.ndarray, doublings: int) -> np.ndarray:
@@ -392,12 +364,11 @@ class PeriodicLyapunovSolution:
         _, j, _ = self._locate(t)
         return self.hmin_steps[j]
 
-    def inv_norm_integral(self, t):
-        """Conservative  int_0^t ds / ||H(s)||  with periodic extension."""
+    def step_integral(self, step_vals, t):
+        """int_0^t of a per-step piecewise-constant integrand, extended T-periodically."""
         k, j, frac = self._locate(t)
-        inv_step = self.step / self.hnorm_steps
-        cum = np.concatenate([[0.0], np.cumsum(inv_step)])
-        return k * cum[-1] + cum[j] + frac / self.hnorm_steps[j]
+        cum = np.concatenate([[0.0], np.cumsum(self.step * step_vals)])
+        return k * cum[-1] + cum[j] + frac * step_vals[j]
 
     def node_index(self, t: float) -> int:
         s = float(t) % self.period
@@ -425,6 +396,21 @@ def _nodes_eigs(H: np.ndarray, det=None):
     return sym_eig_bounds(H[:, 0, 0], H[:, 0, 1], H[:, 1, 1], det=det)
 
 
+def _tail_integral_solve(Z: np.ndarray, C, step: float) -> np.ndarray:
+    """Node values of the periodic solution of H' + HW + W^T H = -C.
+
+    ``Z`` is the propagator deviation of v' = W v on the grid and ``C`` the
+    weight, a (2, 2) matrix or one per node.  With G(t) = int_0^t Y^T C Y
+    and X = M^T X M + G(T) for M = Y(T), the tail integral is
+    H = Y^{-T} (X - G) Y^{-1}, symmetrized.
+    """
+    Y = Z + np.eye(2)
+    G = cumulative_simpson(np.einsum("...ji,...jk,...kl->...il", Y, C, Y), step)
+    X = _solve_discrete_lyapunov_deviation(Z[-1], G[-1])
+    H = _sandwich(_inv_2x2_nodes(Y), X[None, :, :] - G)
+    return 0.5 * (H + np.transpose(H, (0, 2, 1)))
+
+
 def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float("nan")) -> PeriodicLyapunovSolution:
     """Positive T-periodic solution of H' + HA + A^T H = -I on the grid.
 
@@ -443,14 +429,7 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
         raise UnstableSystemError(
             f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk"
         )
-    Y = Z + np.eye(2)
-    integrand = np.einsum("nji,njk->nik", Y, Y)  # Y^T Y
-    G = cumulative_simpson(integrand, step)
-    Q = G[-1]
-    X = solve_discrete_lyapunov_2x2(Y[-1], Q)
-    invY = _inv_2x2_nodes(Y)
-    H = _sandwich(invY, X[None, :, :] - G)
-    H = 0.5 * (H + np.transpose(H, (0, 2, 1)))
+    H = _tail_integral_solve(Z, np.eye(2), step)
     hmin_nodes, hnorm_nodes = _nodes_eigs(H)
     if np.min(hmin_nodes) <= 0.0:
         raise UnstableSystemError("periodic Lyapunov solution lost positivity")
@@ -501,15 +480,7 @@ def solve_periodic_lyapunov_scaled(
     Cu[:, 0, 1] = Cu[:, 1, 0] = mu * mu * b_nodes
     Cu[:, 1, 1] = mu * mu
 
-    Y = Z + np.eye(2)
-    integrand = np.einsum("nji,njk,nkl->nil", Y, Cu, Y)
-    Gu = cumulative_simpson(integrand, times[1] - times[0])
-    Qu = Gu[-1]
-    Xu = _solve_discrete_lyapunov_deviation(Z[-1], Qu)
-
-    invY = _inv_2x2_nodes(Y)
-    Hu = _sandwich(invY, Xu[None, :, :] - Gu)
-    Hu = 0.5 * (Hu + np.transpose(Hu, (0, 2, 1)))
+    Hu = _tail_integral_solve(Z, Cu, times[1] - times[0])
 
     hu11, hu12, hu22 = Hu[:, 0, 0], Hu[:, 0, 1], Hu[:, 1, 1]
     H = np.empty_like(Hu)
@@ -536,27 +507,57 @@ def solve_periodic_lyapunov_scaled(
     )
 
 
+def _linearization_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, pert):
+    """Generator to propagate for the radius of v' = (A(t,mu) + dA(t,mu)) v.
+
+    mu*U(t) in averaged coordinates while the change of variables v = S u
+    is nondegenerate (best precision near the unit circle), the direct
+    A(t,mu) past its degeneracy; ``pert`` adds S^{-1} dA S, whose only
+    nonzero row is the second (S = I on the direct path).
+    """
+    try:
+        ts = build_u2_u3(lin, tr, mu)
+    except ValueError:
+        base, direct = system_matrix_entries(lin, mu), True
+    else:
+        def base(t):
+            return mu * ts.u_total_at(t)
+        direct = False
+    if pert is None:
+        return base
+    da = pert.d_alpha
+
+    def W(t):
+        w = base(t)
+        g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(t)
+        if direct:
+            w[..., 1, 0] -= mu * g
+        else:
+            w[..., 1, 0] -= g * (1.0 + mu * tr.a.eval(t)) + da * mu * tr.b.eval(t)
+        w[..., 1, 1] -= da * mu
+        return w
+
+    return W
+
+
 def spectral_radius_linear_system(
     lin: LinearizedSystem,
     tr: AveragingTransform,
     mu: float,
     n_steps: int = 4096,
+    pert=None,
 ) -> float:
     """Monodromy spectral radius of v' = A(t,mu) v at one parameter value.
 
-    Propagates the averaged system mu*U while the change of variables is
-    nondegenerate (best precision near the unit circle) and the direct
-    system A(t,mu) for large mu; both have the Liouville value -alpha*mu*T.
+    With ``pert`` (a :class:`~mathieu_cert.robustness.Perturbation`) the
+    system is the perturbed one, v' = (A + dA) v.  Both propagated forms
+    have trace -(alpha + d_alpha)*mu, which gives the Liouville value of
+    the radius.
     """
-    try:
-        ts = build_u2_u3(lin, tr, mu)
-    except ValueError:
-        W = system_matrix_entries(lin, mu)
-    else:
-        def W(t):
-            return mu * ts.u_total_at(t)
+    W = _linearization_generator(lin, tr, mu, pert)
     _, Z = deviation_matrizant(W, lin.period, n_steps)
-    return spectral_radius_from_deviation(Z[-1], -lin.alpha * mu * lin.period)
+    da = 0.0 if pert is None else pert.d_alpha
+    return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +580,7 @@ def krein_envelope(sol: PeriodicLyapunovSolution, y0_norm_sq: float, t):
     if np.any(t < 0.0):
         raise ValueError("envelope is defined for t >= 0")
     h0 = sol.hnorm_nodes[0]
-    env = (h0 / sol.hmin_at(t)) * y0_norm_sq * np.exp(-sol.inv_norm_integral(t))
+    env = (h0 / sol.hmin_at(t)) * y0_norm_sq * np.exp(-sol.step_integral(1.0 / sol.hnorm_steps, t))
     return env if env.ndim else float(env)
 
 

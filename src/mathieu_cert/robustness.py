@@ -20,17 +20,12 @@ one period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .averaging import AveragingTransform, build_u2_u3
-from .floquet_lyapunov import (
-    PeriodicLyapunovSolution,
-    deviation_matrizant,
-    spectral_radius_from_deviation,
-)
-from .model import LinearizedSystem, MathieuModel
+from .floquet_lyapunov import PeriodicLyapunovSolution
+from .model import MathieuModel
 from .periodic_signal import PeriodicSignal, QuadratureGrid, signal_from_dict, signal_to_dict
 
 __all__ = [
@@ -46,7 +41,6 @@ __all__ = [
     "attraction_certificate",
     "decay_envelope",
     "envelope_rate_integrals",
-    "perturbed_spectral_radius_scaled",
     "sample_attraction_boundary",
     "perturbation_to_dict",
     "perturbation_from_dict",
@@ -238,16 +232,7 @@ class AttractionCertificate:
         return True
 
     def as_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "p": self.p,
-            "rho": self.rho,
-            "q_mu": self.q_mu,
-            "lyapunov_radius_sq": self.lyapunov_radius_sq,
-            "euclid_radius": self.euclid_radius,
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-        }
+        return asdict(self)
 
 
 def attraction_certificate(
@@ -282,14 +267,6 @@ def attraction_certificate(
 
 # ---------------------------------------------------------------------------
 # decay envelopes
-
-
-def _periodic_cum_integral(sol: PeriodicLyapunovSolution, step_vals: np.ndarray, t):
-    """Integral of a per-step piecewise-constant integrand, extended T-periodically."""
-    k, j, frac = sol._locate(t)
-    seg = sol.step * step_vals
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return k * cum[-1] + cum[j] + frac * step_vals[j]
 
 
 def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float) -> np.ndarray:
@@ -368,42 +345,8 @@ def decay_envelope(
         pref = 4.0 / sol.h_min * v0_value
     else:
         raise ValueError(f"unknown envelope variant {variant!r}")
-    out = pref * np.exp(-_periodic_cum_integral(sol, integrand, t))
+    out = pref * np.exp(-sol.step_integral(integrand, t))
     return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# perturbed-system helpers
-
-
-def perturbed_spectral_radius_scaled(
-    lin: LinearizedSystem,
-    tr: AveragingTransform,
-    mu: float,
-    pert: Perturbation,
-    n_steps: int = 4096,
-) -> float:
-    """Monodromy spectral radius of the perturbed linear system.
-
-    The perturbation is mapped through the same averaging change of
-    variables as the nominal system (S is similarity-invariant over one
-    period), and the combined right-hand side is integrated in deviation
-    form.  Its trace is -(alpha + d_alpha)*mu, which gives the Liouville
-    value of the radius.
-    """
-    ts = build_u2_u3(lin, tr, mu)
-    da = pert.d_alpha
-
-    def W(t):
-        w = mu * ts.u_total_at(t)
-        g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(t)
-        # S^{-1} dA S: only the second row is nonzero
-        w[..., 1, 0] -= g * (1.0 + mu * tr.a.eval(t)) + da * mu * tr.b.eval(t)
-        w[..., 1, 1] -= da * mu
-        return w
-
-    _, Z = deviation_matrizant(W, lin.period, n_steps)
-    return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
 
 
 def sample_attraction_boundary(
@@ -460,20 +403,23 @@ def perturbation_to_dict(pert: Perturbation) -> dict:
 
 
 def perturbation_from_dict(d: dict, model: MathieuModel) -> Perturbation:
-    dphi = d.get("d_phi")
-    sig = None
-    offset = 0.0
-    if dphi is not None:
-        offset = float(dphi.get("offset", 0.0))
-        if dphi.get("harmonics"):
-            period = dphi.get("period") or model.period
-            sig = signal_from_dict({"period": period, "harmonics": dphi["harmonics"]})
-            if sig.period != model.period:
-                raise ValueError("d_phi period must match the model period")
-    return Perturbation.for_model(
-        model,
-        d_alpha=float(d.get("d_alpha", 0.0)),
-        d_beta=float(d.get("d_beta", 0.0)),
-        d_phi=sig,
-        d_phi_offset=offset,
-    )
+    try:
+        dphi = d.get("d_phi")
+        sig = None
+        offset = 0.0
+        if dphi is not None:
+            offset = float(dphi.get("offset", 0.0))
+            if dphi.get("harmonics"):
+                period = dphi.get("period") or model.period
+                sig = signal_from_dict({"period": period, "harmonics": dphi["harmonics"]})
+                if sig.period != model.period:
+                    raise ValueError("d_phi period must match the model period")
+        return Perturbation.for_model(
+            model,
+            d_alpha=float(d.get("d_alpha", 0.0)),
+            d_beta=float(d.get("d_beta", 0.0)),
+            d_phi=sig,
+            d_phi_offset=offset,
+        )
+    except (TypeError, AttributeError) as exc:  # a null field, or a non-object d_phi
+        raise ValueError(f"malformed perturbation description: {exc}") from exc

@@ -29,6 +29,7 @@ from mathieu_cert.floquet_lyapunov import (
     solve_periodic_lyapunov,
     solve_periodic_lyapunov_scaled,
     spectral_radius_from_deviation,
+    spectral_radius_linear_system,
     truncated_lyapunov_sum,
 )
 from mathieu_cert.model import (
@@ -43,7 +44,6 @@ from mathieu_cert.robustness import (
     decay_envelope,
     linear_budget,
     nonlinear_budget,
-    perturbed_spectral_radius_scaled,
     q_of_mu,
     sample_attraction_boundary,
 )
@@ -218,7 +218,7 @@ def test_criterion_5_linear_robustness_budgets(pendulum_model, lin, transform, s
     ]
     oks_admissible = [budget.is_admissible(p, grid) for p in perts]
     radii = [
-        perturbed_spectral_radius_scaled(lin, transform, sol.mu, p, 2048) for p in perts
+        spectral_radius_linear_system(lin, transform, sol.mu, 2048, p) for p in perts
     ]
     ok_stable = all(r < 1.0 for r in radii)
 

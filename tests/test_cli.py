@@ -19,6 +19,8 @@ PEND = {
     "f": {"kind": "pendulum_sine"},
     "gamma": math.pi,
 }
+PHYS = {"length_l": 1.0, "gravity_g": 9.8, "friction_lambda": 1.0,
+        "amplitude_a": 0.1, "frequency_omega": 100.0}
 
 
 @pytest.fixture()
@@ -34,6 +36,17 @@ def write_model(tmp_path, name="m.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(d))
     return str(path)
+
+
+def assert_csv_only(argv, capsys):
+    """``--format csv`` is the default and ``--format json`` a usage error."""
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*argv, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'json'" in captured.err
 
 
 class TestCertify:
@@ -84,10 +97,7 @@ class TestCertify:
 
     def test_pendulum_parameter_file(self, tmp_path, capsys):
         path = tmp_path / "phys.json"
-        path.write_text(json.dumps({
-            "length_l": 1.0, "gravity_g": 9.8, "friction_lambda": 1.0,
-            "amplitude_a": 0.1, "frequency_omega": 100.0,
-        }))
+        path.write_text(json.dumps(PHYS))
         # derived mu = a/l = 0.1 lies outside the certified range
         code = main(["certify", "--model", str(path)])
         assert code == 2
@@ -201,15 +211,9 @@ class TestSimulate:
                      "--y0", "0.1", "--y1", "0", "--t-end", "6.5"]) == 2
 
     def test_format_is_csv_only(self, model_file, capsys):
-        argv = ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "0",
-                "--y1", "0", "--t-end", "6.5", "--steps", "1024", "--stride", "256"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert main([*argv, "--format", "csv"]) == 0
-        assert capsys.readouterr().out == default
-        assert main([*argv, "--format", "json"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "invalid choice: 'json'" in captured.err
+        assert_csv_only(["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "0",
+                         "--y1", "0", "--t-end", "6.5", "--steps", "1024", "--stride", "256"],
+                        capsys)
 
 
 class TestSweep:
@@ -244,6 +248,10 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()[2:]
         keys = [(float(l.split(",")[0]), float(l.split(",")[1])) for l in lines]
         assert keys == sorted(keys)
+
+    def test_format_is_csv_only(self, model_file, capsys):
+        assert_csv_only(["sweep", "--model", model_file, "--mu-grid", "1e-8",
+                         "--beta-grid", "0.25", "--steps", "1024"], capsys)
 
 
 class TestGridSpec:
@@ -338,6 +346,30 @@ def test_non_finite_input_is_exit_1(case, model_file, tmp_path, capsys):
     assert out == ""
     assert err.startswith("mathieu-cert: error:") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model, pert",
+    [
+        ({**PHYS, "length_l": None}, None),
+        (PEND, {"d_alpha": None}),
+        (PEND, {"d_phi": [1, 2]}),
+    ],
+    ids=["pendulum_null", "pert_null", "pert_d_phi_list"],
+)
+def test_malformed_file_is_exit_1(model, pert, tmp_path, capsys):
+    # each of these used to end in a TypeError or AttributeError traceback
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    argv = ["certify", "--model", str(path), "--mu", "7e-8"]
+    if pert is not None:
+        pert_path = tmp_path / "pert.json"
+        pert_path.write_text(json.dumps(pert))
+        argv += ["--pert", str(pert_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mathieu-cert: error: malformed")
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,12 @@ from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 from mathieu_cert.floquet_lyapunov import (
     UnstableSystemError,
     _floquet_gap,
+    _solve_discrete_lyapunov_deviation,
     bvp_residual,
     deviation_matrizant,
     krein_envelope,
     matrizant,
     solve_constant_lyapunov,
-    solve_discrete_lyapunov_2x2,
     solve_periodic_lyapunov,
     spectral_norm_2x2,
     spectral_radius_from_deviation,
@@ -24,6 +24,7 @@ from mathieu_cert.floquet_lyapunov import (
 from mathieu_cert.averaging import build_transform, build_u2_u3
 from mathieu_cert.model import LinearizedSystem, system_matrix_entries
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
+from mathieu_cert.robustness import Perturbation
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
 
 from conftest import TWO_PI
@@ -276,11 +277,11 @@ class TestDiscreteLyapunov:
     def test_nilpotent_monodromy(self):
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
         np.testing.assert_allclose(
-            solve_discrete_lyapunov_2x2(np.zeros((2, 2)), q), q, atol=1e-15
+            _solve_discrete_lyapunov_deviation(-np.eye(2), q), q, atol=1e-15
         )
 
     def test_half_identity(self):
-        x = solve_discrete_lyapunov_2x2(0.5 * np.eye(2), np.eye(2))
+        x = _solve_discrete_lyapunov_deviation(-0.5 * np.eye(2), np.eye(2))
         np.testing.assert_allclose(x, (4.0 / 3.0) * np.eye(2), atol=1e-14)
 
     def test_against_scipy(self):
@@ -289,7 +290,7 @@ class TestDiscreteLyapunov:
             m = 0.9 * rng.normal(size=(2, 2)) / 2
             q0 = rng.normal(size=(2, 2))
             q = q0 @ q0.T + 0.1 * np.eye(2)
-            mine = solve_discrete_lyapunov_2x2(m, q)
+            mine = _solve_discrete_lyapunov_deviation(m - np.eye(2), q)
             ref = solve_discrete_lyapunov(m.T, q)
             np.testing.assert_allclose(mine, ref, rtol=1e-9, atol=1e-10)
 
@@ -415,6 +416,33 @@ class TestPeriodicLyapunov:
             build_u2_u3(lin, transform, 1.0)
         rho = spectral_radius_linear_system(lin, transform, 1.0, 4096)
         assert rho == pytest.approx(7.717047691898568, rel=1e-12)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.5, 3.0])
+    def test_radius_matches_simulated_monodromy(
+        self, pendulum_model, lin, transform, mu, perturbed
+    ):
+        # the simulator's separate RK4 loop gives the monodromy column by
+        # column; mu = 1.5 and 3 lie past the transform's degeneracy, where
+        # the radius propagates the direct (perturbed) system instead
+        pert = None
+        if perturbed:
+            pert = Perturbation.for_model(
+                pendulum_model, d_alpha=0.02, d_beta=-0.05,
+                d_phi=PeriodicSignal(TWO_PI, ((2, 0.1, -0.05),)), d_phi_offset=0.03,
+            )
+        try:
+            build_u2_u3(lin, transform, mu)
+        except ValueError:
+            assert mu > 1.0
+        else:
+            assert mu < 1.0
+        trajs = integrate_batch(linear_system(lin, mu, pert), np.eye(2), TWO_PI, 4096,
+                                record_stride=4096)
+        monodromy = np.column_stack([traj.states[-1] for traj in trajs])
+        oracle = np.max(np.abs(np.linalg.eigvals(monodromy)))
+        rho = spectral_radius_linear_system(lin, transform, mu, 4096, pert)
+        assert abs(rho - oracle) <= 1e-10 * oracle
 
     def test_deviation_is_identity_free(self):
         # Z of a tiny constant W keeps full relative precision: I + Z would

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mathieu_cert.floquet_lyapunov import PeriodicLyapunovSolution
+from mathieu_cert.floquet_lyapunov import PeriodicLyapunovSolution, spectral_radius_linear_system
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
 from mathieu_cert.robustness import (
     Perturbation,
@@ -16,7 +16,6 @@ from mathieu_cert.robustness import (
     nonlinear_budget,
     perturbation_from_dict,
     perturbation_to_dict,
-    perturbed_spectral_radius_scaled,
     q_of_mu,
     q_tilde,
     sample_attraction_boundary,
@@ -238,7 +237,7 @@ class TestOnCertifiedPendulum:
             for _ in range(3):
                 pert = random_budget_perturbation(pendulum_model, b, frac, rng)
                 assert b.is_admissible(pert, grid)
-                rho = perturbed_spectral_radius_scaled(lin, transform, sol.mu, pert, 2048)
+                rho = spectral_radius_linear_system(lin, transform, sol.mu, 2048, pert)
                 assert rho < 1.0
 
     def test_nonlinear_envelope_short_run(self, pendulum_model, sol_small_mu):

@@ -142,3 +142,20 @@ def test_traced_step_count_matches_integration():
     for t_end in (0.01, 3.0, 5.1):
         traj = mathieu_cert.integrate_trajectory(system, 0.1, 0.0, t_end, 256)
         assert tracing._steps(system, t_end, 256) == len(traj.times) - 1, t_end
+
+
+def test_no_private_attribute_reads_across_objects():
+    # a module reads only its own objects' privates: x._name is allowed for
+    # x = self or cls, and dunders are public protocol
+    found = []
+    for path in sorted((SRC / "mathieu_cert").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
