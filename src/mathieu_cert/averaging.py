@@ -16,13 +16,20 @@ integrator error enters the certificate constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import LinearizedSystem
-from .periodic_signal import PeriodicSignal, QuadratureGrid, zero_mean_antiderivative
+from .model import LinearizedSystem, matrices_2x2
+from .periodic_signal import (
+    PeriodicSignal,
+    QuadratureGrid,
+    eval_together,
+    half_step_grid,
+    zero_mean_antiderivative,
+)
 
 __all__ = [
     "AveragingTransform",
@@ -40,11 +47,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AveragingTransform:
-    """Periodic zero-mean pair (a, b) with a' = b and b' = -phi_hat."""
+    """Periodic zero-mean pair (a, b) with a' = b and b' = -phi_hat.
+
+    The propagators read a, b and phi_hat on the half-step grid of their
+    step count (:meth:`half_step_samples`), sampled once per transform and
+    freed with it.
+    """
 
     a: PeriodicSignal
     b: PeriodicSignal
+    phi_hat: PeriodicSignal
     grid: QuadratureGrid
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def a_min(self) -> float:
+        """min of a(t) over ``grid.samples``, the points where the transform is checked."""
+        return float(np.min(self.a.eval(self.grid.samples)))
+
+    def half_step_samples(self, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, phi_hat) on ``half_step_grid(T, n_steps)``, read-only.
+
+        Equal bit for bit to ``eval`` on that grid; the even entries are the
+        values at the step nodes ``arange(n_steps + 1) * (T / n_steps)``.
+        """
+        if n_steps not in self._samples:
+            t = half_step_grid(self.phi_hat.period, n_steps)
+            samples = tuple(eval_together((self.a, self.b, self.phi_hat), t))
+            for x in samples:
+                x.flags.writeable = False
+            self._samples[n_steps] = samples
+        return self._samples[n_steps]
 
 
 def build_transform(lin: LinearizedSystem, grid: QuadratureGrid) -> AveragingTransform:
@@ -58,7 +91,7 @@ def build_transform(lin: LinearizedSystem, grid: QuadratureGrid) -> AveragingTra
         raise ValueError("grid period must match the system period")
     b = zero_mean_antiderivative(lin.phi_hat).scaled(-1.0)
     a = zero_mean_antiderivative(b)
-    return AveragingTransform(a=a, b=b, grid=grid)
+    return AveragingTransform(a=a, b=b, phi_hat=lin.phi_hat, grid=grid)
 
 
 def mean_phi_a(lin: LinearizedSystem, tr: AveragingTransform) -> float:
@@ -119,48 +152,46 @@ class TransformedSystem:
     lin: LinearizedSystem
     tr: AveragingTransform
 
+    def _at(self, t):
+        t = np.asarray(t, dtype=float)
+        return self.tr.a.eval(t), self.tr.b.eval(t), self.lin.phi_hat.eval(t)
+
+    def _entries(self, a, b, phi):
+        """Nonzero entries (U2_12, U2_21, U2_22, U3_12, U3_22) from samples of a, b, phi_hat."""
+        mu = self.mu
+        denom = 1.0 + mu * a
+        e21 = -self.lin.alpha * b - mu * self.lin.beta_hat * a - phi * a + self.mean_phi_a
+        return -mu * a, e21, (mu * a - 1.0) * b, a * a / denom, -a * a * b / denom
+
+    def _total(self, a, b, phi) -> np.ndarray:
+        u12, u21, u22, v12, v22 = self._entries(a, b, phi)
+        u1, mu2 = self.u1, self.mu ** 2
+        return matrices_2x2(
+            u1[0, 0], u1[0, 1] + u12 + mu2 * v12, u1[1, 0] + u21, u1[1, 1] + u22 + mu2 * v22
+        )
+
     def u2_at(self, t) -> np.ndarray:
         """U2(t, mu); shape (2, 2) for scalar t, (n, 2, 2) for array t."""
-        t = np.asarray(t, dtype=float)
-        a = self.tr.a.eval(t)
-        b = self.tr.b.eval(t)
-        phi = self.lin.phi_hat.eval(t)
-        mu = self.mu
-        z = np.zeros_like(t)
-        e21 = (
-            -self.lin.alpha * b
-            - mu * self.lin.beta_hat * a
-            - phi * a
-            + self.mean_phi_a
-        )
-        out = np.stack(
-            [
-                np.stack([z, -mu * a], axis=-1),
-                np.stack([e21, (mu * a - 1.0) * b], axis=-1),
-            ],
-            axis=-2,
-        )
-        return out
+        u12, u21, u22, _, _ = self._entries(*self._at(t))
+        return matrices_2x2(0.0, u12, u21, u22)
 
     def u3_at(self, t) -> np.ndarray:
         """U3(t, mu); first column is identically zero."""
-        t = np.asarray(t, dtype=float)
-        a = self.tr.a.eval(t)
-        b = self.tr.b.eval(t)
-        denom = 1.0 + self.mu * a
-        z = np.zeros_like(t)
-        out = np.stack(
-            [
-                np.stack([z, a * a / denom], axis=-1),
-                np.stack([z, -a * a * b / denom], axis=-1),
-            ],
-            axis=-2,
-        )
-        return out
+        *_, v12, v22 = self._entries(*self._at(t))
+        return matrices_2x2(0.0, v12, 0.0, v22)
 
     def u_total_at(self, t) -> np.ndarray:
         """U1 + U2(t,mu) + mu^2 U3(t,mu)."""
-        return self.u1 + self.u2_at(t) + self.mu ** 2 * self.u3_at(t)
+        return self._total(*self._at(t))
+
+    def generator_samples(self, n_steps: int) -> np.ndarray:
+        """mu*(U1 + U2 + mu^2 U3) on the half-step grid of ``n_steps`` steps.
+
+        Assembled entry by entry from the transform's samples of a, b and
+        phi_hat, in the input form of ``deviation_matrizant``; equal bit for
+        bit to ``mu * u_total_at(t)`` on that grid.
+        """
+        return self.mu * self._total(*self.tr.half_step_samples(n_steps))
 
 
 def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> TransformedSystem:
@@ -172,7 +203,7 @@ def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> Tra
     """
     if not mu > 0.0:
         raise ValueError("mu must be positive")
-    if np.min(1.0 + mu * tr.a.eval(tr.grid.samples)) <= 0.0:
+    if 1.0 + mu * tr.a_min <= 0.0:  # = min(1 + mu*a): rounding is monotone
         raise ValueError(
             f"transform degenerates: 1 + mu*a(t) <= 0 on the grid at mu={mu}"
         )
@@ -191,14 +222,4 @@ def s_matrix(tr: AveragingTransform, mu: float, t) -> np.ndarray:
     S = [[1 + mu*a, 0], [mu*b, mu]]; shape (2, 2) or (n, 2, 2).
     """
     t = np.asarray(t, dtype=float)
-    a = tr.a.eval(t)
-    b = tr.b.eval(t)
-    z = np.zeros_like(t)
-    one = np.ones_like(t)
-    return np.stack(
-        [
-            np.stack([1.0 + mu * a, z], axis=-1),
-            np.stack([mu * b, mu * one], axis=-1),
-        ],
-        axis=-2,
-    )
+    return matrices_2x2(1.0 + mu * tr.a.eval(t), 0.0, mu * tr.b.eval(t), mu)

@@ -52,6 +52,7 @@ from .model import (
     pendulum_reduce,
     quadratic_remainder_bound,
     shift_to_zero,
+    system_matrix,
     system_matrix_entries,
 )
 from .periodic_signal import QuadratureGrid
@@ -144,11 +145,12 @@ def build_certificate(
         return Certificate(payload=payload, exit_code=3 if chain is None else 2)
 
     sol = solve_periodic_lyapunov_scaled(lin, tr, mu, steps)
+    _, _, phi_hat = tr.half_step_samples(steps)
     payload["spectral_radius_at_mu"] = sol.spectral_radius
     payload["lyapunov"] = {
         "h_min": sol.h_min,
         "h_max": sol.h_max,
-        "bvp_residual_scaled": bvp_residual(sol, system_matrix_entries(lin, mu)),
+        "bvp_residual_scaled": bvp_residual(sol, system_matrix(lin, mu, phi_hat[::2])),
     }
     b_lin = linear_budget(sol)
     b_nonlin = nonlinear_budget(sol)
@@ -394,13 +396,13 @@ def _cmd_simulate(args) -> int:
         f"# envelope_certified={str(env_ok).lower()} diverged={str(traj.diverged).lower()}",
         "t,y,y_prime,lyapunov_value,envelope,margin",
     ]
+    psi = sol.value(traj.times, traj.states)
     for i, t in enumerate(traj.times):
         y, yp = traj.states[i]
-        psi = sol.value(float(t), traj.states[i])
         e = env[i]
         margin = e - (y * y + yp * yp)
         lines.append(
-            f"{_fmt(t)},{_fmt(y)},{_fmt(yp)},{_fmt(psi)},{_fmt(e)},{_fmt(margin)}"
+            f"{_fmt(t)},{_fmt(y)},{_fmt(yp)},{_fmt(psi[i])},{_fmt(e)},{_fmt(margin)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

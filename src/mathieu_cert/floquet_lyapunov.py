@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import AveragingTransform, build_u2_u3, u1_is_hurwitz
-from .model import LinearizedSystem, system_matrix_entries
-from .periodic_signal import cumulative_simpson
+from .model import LinearizedSystem, system_matrix
+from .periodic_signal import cumulative_simpson, half_step_grid
 
 __all__ = [
     "Matrizant",
@@ -138,17 +138,25 @@ class Matrizant:
         return self.Y[-1]
 
 
+def _products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y for entry-major stacks: entry (i, j) of every matrix is the array X[i, j]."""
+    return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
+
+
 def deviation_matrizant(W, T: float, n_steps: int = 4096):
     """Deviation Z = Y - I of the classical RK4 matrizant of v' = W(t) v.
 
-    ``W`` maps times of shape (m,) to matrices of shape (m, 2, 2), and a
-    scalar time to a (2, 2) matrix; a constant (2, 2) result is broadcast.
-    For a linear system one RK4 step of size h = T/n_steps is the fixed
-    matrix I + D_i, so W is sampled once on the half-step grid, every D_i is
-    formed at once, and Z is their inclusive prefix product computed by a
+    ``W`` is sampled once on the half-step grid ``half_step_grid(T,
+    n_steps)``: either a callable mapping times of shape (m,) to matrices of
+    shape (m, 2, 2) (a scalar time to a (2, 2) matrix; a constant (2, 2)
+    result is broadcast), or those samples themselves, shape
+    (2 n_steps + 1, 2, 2).  For a linear system one RK4 step of size
+    h = T/n_steps is the fixed matrix I + D_i, so every D_i is formed at
+    once, and Z is their inclusive prefix product computed by a
     Hillis-Steele scan (Blelloch, "Prefix Sums and Their Applications",
     CMU-CS-90-190) with the combine (L, E) -> L + E + L E, later steps on
-    the left, in ceil(log2 n_steps) passes.
+    the left, in ceil(log2 n_steps) passes.  Steps and scan run on the four
+    entries as contiguous arrays, with the 2x2 products written out.
 
     The scan never forms I + Z, so absolute roundoff stays at the scale of
     Z rather than of the identity; that is what makes one-period stability
@@ -158,19 +166,24 @@ def deviation_matrizant(W, T: float, n_steps: int = 4096):
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
     h = T / n_steps
-    half_grid = np.arange(2 * n_steps + 1) * (0.5 * h)
-    A = np.broadcast_to(np.asarray(W(half_grid), dtype=float), half_grid.shape + (2, 2))
-    a0, am, a1 = A[0:-1:2], A[1::2], A[2::2]
-    k2 = am + (0.5 * h) * (am @ a0)
-    k3 = am + (0.5 * h) * (am @ k2)
-    k4 = a1 + h * (a1 @ k3)
-    Z = np.zeros((n_steps + 1, 2, 2))
-    D = Z[1:]  # a view: the scan below fills Z after its zero first row
-    D[:] = (h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
+    shape = (2 * n_steps + 1, 2, 2)
+    if callable(W):
+        W = np.broadcast_to(np.asarray(W(half_step_grid(T, n_steps)), dtype=float), shape)
+    elif np.shape(W) != shape:
+        raise ValueError(f"generator samples must have shape {shape}")
+    A = np.moveaxis(W, 0, -1)  # entry-major: A[i, j] holds entry (i, j) at every time
+    a0, am, a1 = A[..., 0:-1:2], A[..., 1::2], A[..., 2::2]
+    k2 = am + (0.5 * h) * _products(am, a0)
+    k3 = am + (0.5 * h) * _products(am, k2)
+    k4 = a1 + h * _products(a1, k3)
+    D = np.ascontiguousarray((h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4))
     shift = 1
     while shift < n_steps:
-        D[shift:] = D[shift:] + D[:-shift] + D[shift:] @ D[:-shift]
+        L, E = D[..., shift:], D[..., :-shift]
+        D[..., shift:] = L + E + _products(L, E)
         shift *= 2
+    Z = np.zeros((n_steps + 1, 2, 2))
+    Z[1:] = np.moveaxis(D, -1, 0)
     return np.arange(n_steps + 1) * h, Z
 
 
@@ -370,26 +383,37 @@ class PeriodicLyapunovSolution:
         cum = np.concatenate([[0.0], np.cumsum(self.step * step_vals)])
         return k * cum[-1] + cum[j] + frac * step_vals[j]
 
-    def node_index(self, t: float) -> int:
-        s = float(t) % self.period
-        return int(round(s / self.step)) % self.n_steps
+    def node_index(self, t):
+        """Index of the node nearest t mod T; vectorized over t.
 
-    def value(self, t: float, v) -> float:
-        """Quadratic form <H(t mod T) v, v>, evaluated stably."""
+        np.mod and np.rint round as Python's % and round do.
+        """
+        return np.rint(np.mod(t, self.period) / self.step).astype(int) % self.n_steps
+
+    def value(self, t, v):
+        """Quadratic form <H(t mod T) v, v>, evaluated stably.
+
+        Vectorized: times of shape (m,) with states v of shape (m, 2) give m
+        values, as a recorded trajectory's ``times`` and ``states`` do.
+        """
         return self.value_at_node(self.node_index(t), v)
 
-    def value_at_node(self, i: int, v) -> float:
+    def value_at_node(self, i, v):
+        """<H_i v, v> at node index i; vectorized over i and the rows of v."""
         v = np.asarray(v, dtype=float)
+        v0, v1 = v[..., 0], v[..., 1]
         if self.factor is not None:
             fa = self.factor
-            w1 = v[0] / fa.p[i]
-            w2 = -fa.b[i] * v[0] / fa.p[i] + v[1] / fa.mu
+            w1 = v0 / fa.p[i]
+            w2 = -fa.b[i] * v0 / fa.p[i] + v1 / fa.mu
             hu = fa.H_u[i]
-            return float(
-                hu[0, 0] * w1 * w1 + 2.0 * hu[0, 1] * w1 * w2 + hu[1, 1] * w2 * w2
+            out = (
+                hu[..., 0, 0] * w1 * w1 + 2.0 * hu[..., 0, 1] * w1 * w2 + hu[..., 1, 1] * w2 * w2
             )
-        h = self.H[i]
-        return float(h[0, 0] * v[0] ** 2 + 2.0 * h[0, 1] * v[0] * v[1] + h[1, 1] * v[1] ** 2)
+        else:
+            h = self.H[i]
+            out = h[..., 0, 0] * v0 ** 2 + 2.0 * h[..., 0, 1] * v0 * v1 + h[..., 1, 1] * v1 ** 2
+        return out if np.ndim(out) else float(out)
 
 
 def _nodes_eigs(H: np.ndarray, det=None):
@@ -463,15 +487,15 @@ def solve_periodic_lyapunov_scaled(
     """
     ts = build_u2_u3(lin, tr, mu)
     T = lin.period
-    times, Z = deviation_matrizant(lambda t: mu * ts.u_total_at(t), T, n_steps)
+    times, Z = deviation_matrizant(ts.generator_samples(n_steps), T, n_steps)
     gap = _floquet_gap(Z[-1], -lin.alpha * mu * T)
     if not gap > 0.0:
         raise UnstableSystemError(
             f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk "
             f"at mu={mu}"
         )
-    a_nodes = tr.a.eval(times)
-    b_nodes = tr.b.eval(times)
+    a, b, _ = tr.half_step_samples(n_steps)
+    a_nodes, b_nodes = a[::2], b[::2]  # the step nodes, bit for bit
     p_nodes = 1.0 + mu * a_nodes
 
     # C_u = S^T S
@@ -507,37 +531,34 @@ def solve_periodic_lyapunov_scaled(
     )
 
 
-def _linearization_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, pert):
-    """Generator to propagate for the radius of v' = (A(t,mu) + dA(t,mu)) v.
+def _linearization_generator(
+    lin: LinearizedSystem, tr: AveragingTransform, mu: float, pert, n_steps: int
+) -> np.ndarray:
+    """Half-step samples of the generator whose propagator gives the radius
+    of v' = (A(t,mu) + dA(t,mu)) v.
 
     mu*U(t) in averaged coordinates while the change of variables v = S u
     is nondegenerate (best precision near the unit circle), the direct
     A(t,mu) past its degeneracy; ``pert`` adds S^{-1} dA S, whose only
-    nonzero row is the second (S = I on the direct path).
+    nonzero row is the second (S = I on the direct path).  Everything
+    mu-independent is read from the transform's samples.
     """
+    a, b, phi = tr.half_step_samples(n_steps)
     try:
-        ts = build_u2_u3(lin, tr, mu)
-    except ValueError:
-        base, direct = system_matrix_entries(lin, mu), True
-    else:
-        def base(t):
-            return mu * ts.u_total_at(t)
+        w = build_u2_u3(lin, tr, mu).generator_samples(n_steps)
         direct = False
+    except ValueError:
+        w, direct = system_matrix(lin, mu, phi), True
     if pert is None:
-        return base
-    da = pert.d_alpha
-
-    def W(t):
-        w = base(t)
-        g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(t)
-        if direct:
-            w[..., 1, 0] -= mu * g
-        else:
-            w[..., 1, 0] -= g * (1.0 + mu * tr.a.eval(t)) + da * mu * tr.b.eval(t)
-        w[..., 1, 1] -= da * mu
         return w
-
-    return W
+    da = pert.d_alpha
+    g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(half_step_grid(lin.period, n_steps))
+    if direct:
+        w[..., 1, 0] -= mu * g
+    else:
+        w[..., 1, 0] -= g * (1.0 + mu * a) + da * mu * b
+    w[..., 1, 1] -= da * mu
+    return w
 
 
 def spectral_radius_linear_system(
@@ -554,7 +575,7 @@ def spectral_radius_linear_system(
     have trace -(alpha + d_alpha)*mu, which gives the Liouville value of
     the radius.
     """
-    W = _linearization_generator(lin, tr, mu, pert)
+    W = _linearization_generator(lin, tr, mu, pert, n_steps)
     _, Z = deviation_matrizant(W, lin.period, n_steps)
     da = 0.0 if pert is None else pert.d_alpha
     return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
@@ -587,13 +608,15 @@ def krein_envelope(sol: PeriodicLyapunovSolution, y0_norm_sq: float, t):
 def bvp_residual(sol: PeriodicLyapunovSolution, A) -> float:
     """Scaled sup-norm residual of H' + HA + A^T H + I at interior nodes.
 
-    ``A`` follows the vectorized contract of :func:`deviation_matrizant`
-    and is sampled once at the nodes.  H' is formed by central differences;
-    each node residual is divided by 1 + ||H|| so the figure stays
-    meaningful when the solution itself is large (small-mu regime).
+    ``A`` is a callable of the vectorized contract of
+    :func:`deviation_matrizant`, sampled once at the nodes, or those node
+    values themselves, shape (n_steps + 1, 2, 2).  H' is formed by central
+    differences; each node residual is divided by 1 + ||H|| so the figure
+    stays meaningful when the solution itself is large (small-mu regime).
     """
-    times = sol.times[1:-1]
-    mid_A = np.broadcast_to(np.asarray(A(times), dtype=float), times.shape + (2, 2))
+    if callable(A):
+        A = np.broadcast_to(np.asarray(A(sol.times), dtype=float), sol.H.shape)
+    mid_A = A[1:-1]
     H = sol.H
     dH = (H[2:] - H[:-2]) / (2.0 * sol.step)
     mid_H = H[1:-1]

@@ -283,24 +283,35 @@ def quadratic_remainder_bound(g: Nonlinearity, rho: float | None = None) -> floa
     return float(sum(abs(c) * rho ** (j - 2) for j, c in enumerate(tail, start=2)))
 
 
+def matrices_2x2(m11, m12, m21, m22) -> np.ndarray:
+    """2x2 matrices of shape (..., 2, 2) from four broadcastable entries.
+
+    Each entry is stored contiguously (the result is a transposed view of a
+    (2, 2, ...) array), the layout the propagator scan reads.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (m11, m12, m21, m22)))
+    out = np.empty((2, 2) + shape)
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = m11, m12, m21, m22
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def system_matrix(lin: LinearizedSystem, mu: float, phi_hat_values) -> np.ndarray:
+    """A(t, mu) of v' = A v from values of phi_hat(t), shape (..., 2, 2)."""
+    return matrices_2x2(
+        0.0, 1.0, -(lin.beta_hat * mu * mu + mu * phi_hat_values), -(lin.alpha * mu)
+    )
+
+
 def system_matrix_entries(lin: LinearizedSystem, mu: float):
     """First-order form of the linearization, v' = A(t, mu) v, as a callable.
 
     ``A(t)`` has shape (2, 2) for a scalar t and (m, 2, 2) for t of shape
-    (m,), the contract of :func:`~mathieu_cert.floquet_lyapunov.matrizant`.
+    (m,): the callable input of
+    :func:`~mathieu_cert.floquet_lyapunov.deviation_matrizant`, which
+    evaluates phi_hat at every call.  The pipeline passes
+    :func:`system_matrix` of the transform's phi_hat samples instead.
     """
-    bm2 = lin.beta_hat * mu * mu
-    am = lin.alpha * mu
-
-    def A(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (2, 2))
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = -(bm2 + mu * lin.phi_hat.eval(t))
-        out[..., 1, 1] = -am
-        return out
-
-    return A
+    return lambda t: system_matrix(lin, mu, lin.phi_hat.eval(t))
 
 
 def model_to_dict(m: MathieuModel) -> dict:

@@ -62,12 +62,7 @@ class PeriodicSignal:
 
     def eval(self, t):
         """Evaluate at scalar or ndarray t."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        w0 = self.base_frequency
-        for k, c, s in self.harmonics:
-            wt = (k * w0) * t
-            out = out + c * np.cos(wt) + s * np.sin(wt)
+        (out,) = eval_together((self,), t)
         return out if out.ndim else float(out)
 
     __call__ = eval
@@ -82,6 +77,28 @@ class PeriodicSignal:
             self.period,
             tuple((k, factor * c, factor * s) for k, c, s in self.harmonics),
         )
+
+
+def eval_together(signals, t) -> list[np.ndarray]:
+    """Each of ``signals`` at t, as arrays equal bit for bit to ``eval``.
+
+    The signals share their period and harmonic indices (as a series and its
+    antiderivatives do), so each cos(k w0 t) and sin(k w0 t) is computed once.
+    """
+    t = np.asarray(t, dtype=float)
+    first = signals[0]
+    ks = [k for k, _, _ in first.harmonics]
+    if any(s.period != first.period or [k for k, _, _ in s.harmonics] != ks for s in signals):
+        raise ValueError("signals must share their period and harmonic indices")
+    outs = [np.zeros_like(t) for _ in signals]
+    w0 = first.base_frequency
+    for j, k in enumerate(ks):
+        wt = (k * w0) * t
+        cos, sin = np.cos(wt), np.sin(wt)
+        for i, s in enumerate(signals):
+            _, c, sn = s.harmonics[j]
+            outs[i] = outs[i] + c * cos + sn * sin
+    return outs
 
 
 @dataclass(frozen=True)
@@ -109,6 +126,14 @@ class QuadratureGrid:
     def samples(self) -> np.ndarray:
         """Nodes and panel centres of [0, T), interleaved: the points of every sampled sup."""
         return np.arange(2 * self.n_points) * (0.5 * self.step)
+
+
+def half_step_grid(period: float, n_steps: int) -> np.ndarray:
+    """Times ``arange(2 n + 1) * (T / (2 n))`` of the RK4 steps of size T/n and their midpoints.
+
+    Entry ``2 j`` is the same float as ``j * (T / n)``, the j-th step node.
+    """
+    return np.arange(2 * n_steps + 1) * (period / (2 * n_steps))
 
 
 def _simpson_weights(n: int) -> np.ndarray:

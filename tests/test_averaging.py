@@ -15,7 +15,7 @@ from mathieu_cert.averaging import (
     u1_is_hurwitz,
 )
 from mathieu_cert.model import LinearizedSystem
-from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid, integrate
+from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid, eval_together, integrate
 
 from conftest import TWO_PI, signal_strategy
 
@@ -59,6 +59,37 @@ class TestBuildTransform:
             da = (tr.a.eval(t + h) - tr.a.eval(t - h)) / (2 * h)
             assert db == pytest.approx(-phi_hat.eval(t), abs=1e-6)
             assert da == pytest.approx(tr.b.eval(t), abs=1e-6)
+
+
+class TestHalfStepSamples:
+    PHI = PeriodicSignal(TWO_PI, ((1, 0.3, -0.8), (3, 0.2, 0.5), (7, -0.1, 0.05)))
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    def test_equal_eval_bit_for_bit(self, n):
+        tr = build_transform(make_lin(self.PHI), GRID)
+        samples = tr.half_step_samples(n)
+        half = np.arange(2 * n + 1) * (TWO_PI / (2 * n))
+        nodes = np.arange(n + 1) * (TWO_PI / n)
+        for got, s in zip(samples, (tr.a, tr.b, tr.phi_hat)):
+            np.testing.assert_array_equal(got, s.eval(half))
+            np.testing.assert_array_equal(got[::2], s.eval(nodes))
+        # sampled once per transform and step count, and read-only
+        assert all(x is y for x, y in zip(tr.half_step_samples(n), samples))
+        for x in samples:
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+
+    def test_eval_together_needs_shared_harmonics(self):
+        other = PeriodicSignal(TWO_PI, ((2, 1.0, 0.0),))
+        with pytest.raises(ValueError):
+            eval_together((self.PHI, other), np.zeros(3))
+
+    def test_degeneracy_check_reads_a_min(self):
+        # rounding is monotone, so 1 + mu*min(a) is min(1 + mu*a) bit for bit
+        tr = build_transform(make_lin(self.PHI), GRID)
+        a = tr.a.eval(GRID.samples)
+        for mu in (1e-9, 0.37, 1.0 / 3.0, 2.9, 1e3):
+            assert 1.0 + mu * tr.a_min == np.min(1.0 + mu * a)
 
 
 class TestU1:

@@ -9,6 +9,7 @@ from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 from mathieu_cert.floquet_lyapunov import (
     UnstableSystemError,
     _floquet_gap,
+    _linearization_generator,
     _solve_discrete_lyapunov_deviation,
     bvp_residual,
     deviation_matrizant,
@@ -63,20 +64,38 @@ def radius(m):
 
 def sequential_rk4_deviation(W, T, n):
     """Step-by-step classical RK4 for Z' = W(t)(I + Z), Z(0) = 0: the loop
-    that the step-matrix scan replaced, kept as its reference."""
+    that the step-matrix scan replaced, kept as its reference.  W is read
+    at each step's own times t_i, t_i + h/2 and t_i + h."""
     h = T / n
+    t = np.arange(n) * h
+    w0, wm, w1 = (np.broadcast_to(W(x), (n, 2, 2)) for x in (t, t + 0.5 * h, t + h))
     eye = np.eye(2)
     z = np.zeros((2, 2))
     out = [z]
     for i in range(n):
-        t = i * h
-        k1 = W(t) @ (eye + z)
-        k2 = W(t + 0.5 * h) @ (eye + z + 0.5 * h * k1)
-        k3 = W(t + 0.5 * h) @ (eye + z + 0.5 * h * k2)
-        k4 = W(t + h) @ (eye + z + h * k3)
+        k1 = w0[i] @ (eye + z)
+        k2 = wm[i] @ (eye + z + 0.5 * h * k1)
+        k3 = wm[i] @ (eye + z + 0.5 * h * k2)
+        k4 = w1[i] @ (eye + z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(z)
     return np.array(out)
+
+
+def perturbed_generator(W, lin, tr, mu, pert, averaged):
+    """W plus the perturbation's second-row correction, as a callable:
+    S^{-1} dA S in averaged coordinates, dA itself on the direct system."""
+    def Wp(t):
+        w = np.array(W(t), dtype=float)
+        g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(t)
+        if averaged:
+            w[..., 1, 0] -= g * (1.0 + mu * tr.a.eval(t)) + pert.d_alpha * mu * tr.b.eval(t)
+        else:
+            w[..., 1, 0] -= mu * g
+        w[..., 1, 1] -= pert.d_alpha * mu
+        return w
+
+    return Wp
 
 
 class TestMatrizant:
@@ -113,16 +132,32 @@ class TestMatrizant:
         assert np.all(mz.Y[:, 0, 1] == 0.0) and np.all(mz.Y[:, 1, 0] == 0.0)
 
     @pytest.mark.parametrize("averaged,mu", [(True, 1e-3), (False, 1e-3), (False, 1.0)])
-    def test_scan_matches_sequential_steps(self, lin, transform, averaged, mu):
-        # roundoff only: the scan reassociates the same step products
+    def test_scan_matches_sequential_steps(self, pendulum_model, lin, transform, averaged, mu):
+        # roundoff only: the scan reassociates the same step products.  1000
+        # steps leave the last scan pass partial.  Where the radius takes
+        # this case's coordinates (averaged iff the transform is
+        # nondegenerate), its own half-step samples must match as well.
+        pert = Perturbation.for_model(
+            pendulum_model, d_alpha=0.02, d_beta=-0.05,
+            d_phi=PeriodicSignal(TWO_PI, ((2, 0.1, -0.05),)),
+        )
         if averaged:
             ts = build_u2_u3(lin, transform, mu)
             W = lambda t: mu * ts.u_total_at(t)  # noqa: E731
         else:
             W = system_matrix_entries(lin, mu)
-        _, z = deviation_matrizant(W, TWO_PI, 512)
-        ref = sequential_rk4_deviation(W, TWO_PI, 512)
-        np.testing.assert_allclose(z, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+        radius_path_averaged = 1.0 + mu * transform.a_min > 0.0
+        for n in (64, 1000, 4096):
+            for p in (None, pert):
+                Wp = W if p is None else perturbed_generator(W, lin, transform, mu, p, averaged)
+                ref = sequential_rk4_deviation(Wp, TWO_PI, n)
+                atol = 1e-13 * np.max(np.abs(ref))
+                _, z = deviation_matrizant(Wp, TWO_PI, n)
+                np.testing.assert_allclose(z, ref, rtol=0.0, atol=atol)
+                if radius_path_averaged == averaged:
+                    samples = _linearization_generator(lin, transform, mu, p, n)
+                    _, z = deviation_matrizant(samples, TWO_PI, n)
+                    np.testing.assert_allclose(z, ref, rtol=0.0, atol=atol)
 
     def test_min_steps(self):
         with pytest.raises(ValueError):
@@ -379,6 +414,26 @@ class TestPeriodicLyapunov:
         tiny = np.array([1e-30, -3e-31])
         assert sol.value_at_node(0, tiny) > 0.0
 
+    def test_values_over_a_trajectory_match_row_by_row(self, lin, sol_moderate_mu):
+        # one array evaluation over recorded (times, states) equals the
+        # per-row form: Python's % and round for the node, then the factored
+        # quadratic form, bit for bit
+        sol = sol_moderate_mu
+        traj = integrate_batch(
+            linear_system(lin, sol.mu), np.array([[0.3, -0.2]]), 2.6 * TWO_PI, 4096, 7
+        )[0]
+        fa = sol.factor
+        rows = []
+        for t, (v0, v1) in zip(traj.times, traj.states):
+            i = int(round((float(t) % sol.period) / sol.step)) % sol.n_steps
+            w1 = v0 / fa.p[i]
+            w2 = -fa.b[i] * v0 / fa.p[i] + v1 / fa.mu
+            hu = fa.H_u[i]
+            rows.append(hu[0, 0] * w1 * w1 + 2.0 * hu[0, 1] * w1 * w2 + hu[1, 1] * w2 * w2)
+        got = sol.value(traj.times, traj.states)
+        assert got.tobytes() == np.array(rows).tobytes()
+        assert sol.value(float(traj.times[5]), traj.states[5]) == rows[5]
+
     def test_lyapunov_derivative_identity(self, lin, sol_moderate_mu):
         # the defining property: d/dt <H(t)v(t), v(t)> = -||v(t)||^2 along
         # solutions; trajectory samples land exactly on the H grid, so the
@@ -416,6 +471,24 @@ class TestPeriodicLyapunov:
             build_u2_u3(lin, transform, 1.0)
         rho = spectral_radius_linear_system(lin, transform, 1.0, 4096)
         assert rho == pytest.approx(7.717047691898568, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e-3, 1.0])
+    def test_radius_unchanged_by_perturbed_call(self, pendulum_model, lin, grid, mu):
+        # the perturbed generator edits its samples in place; the transform's
+        # cached samples must come out of that call unchanged (mu = 1 takes
+        # the direct path)
+        tr = build_transform(lin, grid)
+        pert = Perturbation.for_model(
+            pendulum_model, d_alpha=0.02, d_beta=-0.05,
+            d_phi=PeriodicSignal(TWO_PI, ((2, 0.1, -0.05),)), d_phi_offset=0.03,
+        )
+        before = spectral_radius_linear_system(lin, tr, mu, 512)
+        perturbed = spectral_radius_linear_system(lin, tr, mu, 512, pert)
+        after = spectral_radius_linear_system(lin, tr, mu, 512)
+        assert perturbed != before
+        assert after == before
+        fresh = build_transform(lin, grid)
+        assert spectral_radius_linear_system(lin, fresh, mu, 512) == before
 
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("mu", [0.05, 0.5, 1.5, 3.0])
