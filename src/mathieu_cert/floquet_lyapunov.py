@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import AveragingTransform, build_u2_u3, u1_is_hurwitz
-from .model import LinearizedSystem, system_matrix
+from .model import LinearizedSystem, matrices_2x2, system_matrix
 from .periodic_signal import cumulative_simpson, half_step_grid
 
 __all__ = [
@@ -104,21 +104,18 @@ def sym_eig_bounds(h11, h12, h22, det=None):
     return lmin, lmax
 
 
-def _inv_2x2_nodes(Y: np.ndarray) -> np.ndarray:
-    det = Y[:, 0, 0] * Y[:, 1, 1] - Y[:, 0, 1] * Y[:, 1, 0]
-    if np.min(np.abs(det)) <= 1e-14:
-        raise ArithmeticError("matrizant determinant fell below the 1e-14 guard")
-    inv = np.empty_like(Y)
-    inv[:, 0, 0] = Y[:, 1, 1] / det
-    inv[:, 0, 1] = -Y[:, 0, 1] / det
-    inv[:, 1, 0] = -Y[:, 1, 0] / det
-    inv[:, 1, 1] = Y[:, 0, 0] / det
-    return inv
+def _congruence(L, M):
+    """Entries (11, 12, 22) of the symmetric L^T M L, vectorized.
 
-
-def _sandwich(L: np.ndarray, Mid: np.ndarray) -> np.ndarray:
-    """L^T Mid L per node."""
-    return np.einsum("nji,njk,nkl->nil", L, Mid, L)
+    ``L`` holds the entries (l11, l12, l21, l22) of a 2x2 matrix and ``M``
+    the entries (m11, m12, m22) of a symmetric one: scalars or arrays that
+    broadcast together.
+    """
+    l11, l12, l21, l22 = L
+    m11, m12, m22 = M
+    c1, c2 = m11 * l11 + m12 * l21, m12 * l11 + m22 * l21  # first column of M L
+    d1, d2 = m11 * l12 + m12 * l22, m12 * l12 + m22 * l22  # second column
+    return l11 * c1 + l21 * c2, l11 * d1 + l21 * d2, l12 * d1 + l22 * d2
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +413,25 @@ class PeriodicLyapunovSolution:
         return out if np.ndim(out) else float(out)
 
 
-def _nodes_eigs(H: np.ndarray, det=None):
-    return sym_eig_bounds(H[:, 0, 0], H[:, 0, 1], H[:, 1, 1], det=det)
-
-
-def _tail_integral_solve(Z: np.ndarray, C, step: float) -> np.ndarray:
-    """Node values of the periodic solution of H' + HW + W^T H = -C.
+def _tail_integral_solve(Z: np.ndarray, C, step: float):
+    """Entries (h11, h12, h22) at the nodes of the periodic solution of
+    H' + HW + W^T H = -C.
 
     ``Z`` is the propagator deviation of v' = W v on the grid and ``C`` the
-    weight, a (2, 2) matrix or one per node.  With G(t) = int_0^t Y^T C Y
-    and X = M^T X M + G(T) for M = Y(T), the tail integral is
-    H = Y^{-T} (X - G) Y^{-1}, symmetrized.
+    entries (c11, c12, c22) of the symmetric weight, scalars or one per
+    node.  With G(t) = int_0^t Y^T C Y and X = M^T X M + G(T) for
+    M = Y(T), the tail integral is H = Y^{-T} (X - G) Y^{-1}.  Both
+    congruences are written out on the entries of Y = I + Z and of its
+    closed-form inverse, so H is symmetric by construction.
     """
-    Y = Z + np.eye(2)
-    G = cumulative_simpson(np.einsum("...ji,...jk,...kl->...il", Y, C, Y), step)
-    X = _solve_discrete_lyapunov_deviation(Z[-1], G[-1])
-    H = _sandwich(_inv_2x2_nodes(Y), X[None, :, :] - G)
-    return 0.5 * (H + np.transpose(H, (0, 2, 1)))
+    y11, y12, y21, y22 = Z[:, 0, 0] + 1.0, Z[:, 0, 1], Z[:, 1, 0], Z[:, 1, 1] + 1.0
+    G = cumulative_simpson(np.stack(_congruence((y11, y12, y21, y22), C), axis=-1), step)
+    X = _solve_discrete_lyapunov_deviation(Z[-1], _mat_sym(G[-1]))
+    det = y11 * y22 - y12 * y21
+    if np.min(np.abs(det)) <= 1e-14:
+        raise ArithmeticError("matrizant determinant fell below the 1e-14 guard")
+    inv = (y22 / det, -y12 / det, -y21 / det, y11 / det)
+    return _congruence(inv, (X[0, 0] - G[:, 0], X[0, 1] - G[:, 1], X[1, 1] - G[:, 2]))
 
 
 def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float("nan")) -> PeriodicLyapunovSolution:
@@ -453,13 +452,13 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
         raise UnstableSystemError(
             f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk"
         )
-    H = _tail_integral_solve(Z, np.eye(2), step)
-    hmin_nodes, hnorm_nodes = _nodes_eigs(H)
+    h11, h12, h22 = _tail_integral_solve(Z, (1.0, 0.0, 1.0), step)
+    hmin_nodes, hnorm_nodes = sym_eig_bounds(h11, h12, h22)
     if np.min(hmin_nodes) <= 0.0:
         raise UnstableSystemError("periodic Lyapunov solution lost positivity")
     return PeriodicLyapunovSolution(
         times=times,
-        H=H,
+        H=matrices_2x2(h11, h12, h12, h22),
         mu=mu,
         h_min=float(np.min(hmin_nodes)),
         h_max=float(np.max(hnorm_nodes)),
@@ -499,35 +498,29 @@ def solve_periodic_lyapunov_scaled(
     p_nodes = 1.0 + mu * a_nodes
 
     # C_u = S^T S
-    Cu = np.empty((len(times), 2, 2))
-    Cu[:, 0, 0] = p_nodes ** 2 + (mu * b_nodes) ** 2
-    Cu[:, 0, 1] = Cu[:, 1, 0] = mu * mu * b_nodes
-    Cu[:, 1, 1] = mu * mu
+    Cu = (p_nodes ** 2 + (mu * b_nodes) ** 2, mu * mu * b_nodes, mu * mu)
+    hu11, hu12, hu22 = _tail_integral_solve(Z, Cu, times[1] - times[0])
 
-    Hu = _tail_integral_solve(Z, Cu, times[1] - times[0])
-
-    hu11, hu12, hu22 = Hu[:, 0, 0], Hu[:, 0, 1], Hu[:, 1, 1]
-    H = np.empty_like(Hu)
-    H[:, 0, 0] = (hu11 - 2.0 * b_nodes * hu12 + b_nodes ** 2 * hu22) / p_nodes ** 2
-    H[:, 0, 1] = H[:, 1, 0] = (hu12 - b_nodes * hu22) / (p_nodes * mu)
-    H[:, 1, 1] = hu22 / mu ** 2
+    h11 = (hu11 - 2.0 * b_nodes * hu12 + b_nodes ** 2 * hu22) / p_nodes ** 2
+    h12 = (hu12 - b_nodes * hu22) / (p_nodes * mu)
+    h22 = hu22 / mu ** 2
 
     det_hu = hu11 * hu22 - hu12 ** 2
     det_h = det_hu / (p_nodes * mu) ** 2
-    hmin_nodes, hnorm_nodes = _nodes_eigs(H, det=det_h)
+    hmin_nodes, hnorm_nodes = sym_eig_bounds(h11, h12, h22, det=det_h)
     if np.min(det_h) <= 0.0 or np.min(hmin_nodes) <= 0.0:
         raise UnstableSystemError("periodic Lyapunov solution lost positivity")
 
     return PeriodicLyapunovSolution(
         times=times,
-        H=H,
+        H=matrices_2x2(h11, h12, h12, h22),
         mu=mu,
         h_min=float(np.min(hmin_nodes)),
         h_max=float(np.max(hnorm_nodes)),
         hmin_nodes=hmin_nodes,
         hnorm_nodes=hnorm_nodes,
         spectral_radius=1.0 - gap,
-        factor=_UFactor(H_u=Hu, p=p_nodes, b=b_nodes, mu=mu),
+        factor=_UFactor(H_u=matrices_2x2(hu11, hu12, hu12, hu22), p=p_nodes, b=b_nodes, mu=mu),
     )
 
 
@@ -613,13 +606,21 @@ def bvp_residual(sol: PeriodicLyapunovSolution, A) -> float:
     values themselves, shape (n_steps + 1, 2, 2).  H' is formed by central
     differences; each node residual is divided by 1 + ||H|| so the figure
     stays meaningful when the solution itself is large (small-mu regime).
+
+    With S = HA the residual is H' + S + S^T + I, formed on the entries of
+    H and A and so symmetric by construction.  Its norm is the Gram form of
+    :func:`spectral_norm_2x2`: the residual is indefinite, where recovering
+    the smaller eigenvalue from the determinant, as :func:`sym_eig_bounds`
+    does, can cancel.
     """
     if callable(A):
         A = np.broadcast_to(np.asarray(A(sol.times), dtype=float), sol.H.shape)
-    mid_A = A[1:-1]
-    H = sol.H
-    dH = (H[2:] - H[:-2]) / (2.0 * sol.step)
-    mid_H = H[1:-1]
-    R = dH + mid_H @ mid_A + np.transpose(mid_A, (0, 2, 1)) @ mid_H + np.eye(2)
+    a11, a12, a21, a22 = A[1:-1, 0, 0], A[1:-1, 0, 1], A[1:-1, 1, 0], A[1:-1, 1, 1]
+    h11, h12, h22 = sol.H[:, 0, 0], sol.H[:, 0, 1], sol.H[:, 1, 1]
+    d11, d12, d22 = ((h[2:] - h[:-2]) / (2.0 * sol.step) for h in (h11, h12, h22))
+    h11, h12, h22 = h11[1:-1], h12[1:-1], h22[1:-1]
+    r11 = d11 + 2.0 * (h11 * a11 + h12 * a21) + 1.0
+    r12 = d12 + (h11 * a12 + h12 * a22) + (h12 * a11 + h22 * a21)
+    r22 = d22 + 2.0 * (h12 * a12 + h22 * a22) + 1.0
     scale = 1.0 + sol.hnorm_nodes[1:-1]
-    return float(np.max(spectral_norm_2x2(R) / scale))
+    return float(np.max(spectral_norm_2x2(matrices_2x2(r11, r12, r12, r22)) / scale))

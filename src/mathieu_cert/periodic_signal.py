@@ -132,7 +132,10 @@ def half_step_grid(period: float, n_steps: int) -> np.ndarray:
     """Times ``arange(2 n + 1) * (T / (2 n))`` of the RK4 steps of size T/n and their midpoints.
 
     Entry ``2 j`` is the same float as ``j * (T / n)``, the j-th step node.
+    Fewer than 64 steps are refused, as the RK4 propagators refuse them.
     """
+    if n_steps < 64:
+        raise ValueError("n_steps must be at least 64")
     return np.arange(2 * n_steps + 1) * (period / (2 * n_steps))
 
 

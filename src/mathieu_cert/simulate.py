@@ -114,6 +114,8 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
         raise ValueError("steps_per_period must be at least 256")
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if stride < 1:
         raise ValueError("record stride must be >= 1")
     h = system.period / steps_per_period

@@ -318,6 +318,22 @@ def test_cli_import_leaves_scipy_out():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("steps", ["0", "63"])
+@pytest.mark.parametrize(
+    "command",
+    [["certify", "--mu", "7e-8"], ["margins", "--mu", "7e-8"],
+     ["sweep", "--mu-grid", "1e-3", "--beta-grid", "0.25"],
+     ["simulate", "--mu", "7e-8", "--y0", "0", "--y1", "0", "--t-end", "6.5"]],
+    ids=["certify", "margins", "sweep", "simulate"],
+)
+def test_too_few_steps_is_exit_1(command, steps, model_file, capsys):
+    # 0 used to fail with "float division by zero" before the step check ran
+    assert main([command[0], "--model", model_file, *command[1:], "--steps", steps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mathieu-cert: error: n_steps must be at least 64\n"
+
+
 def _non_finite_argv(case, model_file, tmp_path):
     if case == "mu_inf":
         return ["certify", "--model", model_file, "--mu", "inf"]
@@ -333,11 +349,15 @@ def _non_finite_argv(case, model_file, tmp_path):
     if case == "y0_nan":
         return ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "nan",
                 "--y1", "0", "--t-end", "6.5"]
+    if case == "t_end_inf":
+        return ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "0",
+                "--y1", "0", "--t-end", "inf", "--steps", "1024"]
     return ["sweep", "--model", model_file, "--mu-grid", "1e-3,inf", "--beta-grid", "0.25"]
 
 
 @pytest.mark.parametrize(
-    "case", ["mu_inf", "harmonic_nan", "pert_nan", "rho_nan", "rho_inf", "y0_nan", "sweep_inf"]
+    "case",
+    ["mu_inf", "harmonic_nan", "pert_nan", "rho_nan", "rho_inf", "y0_nan", "t_end_inf", "sweep_inf"],
 )
 def test_non_finite_input_is_exit_1(case, model_file, tmp_path, capsys):
     # each of these used to give a certificate or a chart row built on nan

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from mathieu_cert.floquet_lyapunov import (
+    PeriodicLyapunovSolution,
     UnstableSystemError,
     _floquet_gap,
     _linearization_generator,
@@ -17,14 +18,16 @@ from mathieu_cert.floquet_lyapunov import (
     matrizant,
     solve_constant_lyapunov,
     solve_periodic_lyapunov,
+    solve_periodic_lyapunov_scaled,
     spectral_norm_2x2,
     spectral_radius_from_deviation,
     spectral_radius_linear_system,
+    sym_eig_bounds,
     truncated_lyapunov_sum,
 )
 from mathieu_cert.averaging import build_transform, build_u2_u3
 from mathieu_cert.model import LinearizedSystem, system_matrix_entries
-from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
+from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid, cumulative_simpson
 from mathieu_cert.robustness import Perturbation
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
 
@@ -80,6 +83,25 @@ def sequential_rk4_deviation(W, T, n):
         z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(z)
     return np.array(out)
+
+
+def tail_integral_reference(Z, C, step):
+    """Node values of the tail-integral solution of H' + HW + W^T H = -C in
+    the matrix form that the entry arithmetic replaced, kept as its
+    reference: einsum Y^T C Y for a (2, 2) or per-node (n + 1, 2, 2) weight,
+    an explicit inverse, L^T M L, then symmetrize."""
+    Y = Z + np.eye(2)
+    G = cumulative_simpson(np.einsum("...ji,...jk,...kl->...il", Y, C, Y), step)
+    X = _solve_discrete_lyapunov_deviation(Z[-1], G[-1])
+    L = np.linalg.inv(Y)
+    H = np.einsum("nji,njk,nkl->nil", L, X[None] - G, L)
+    return 0.5 * (H + np.transpose(H, (0, 2, 1)))
+
+
+def assert_nodes_match(got, ref, rtol):
+    """Per-node agreement relative to each reference node's largest entry."""
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= rtol * scale)
 
 
 def perturbed_generator(W, lin, tr, mu, pert, averaged):
@@ -383,6 +405,56 @@ class TestPeriodicLyapunov:
         oracle = truncated_lyapunov_sum(mz.monodromy, q, doublings)
         rel = np.linalg.norm(sol.H[0] - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("mu", [None, 1e-4, 1e-2, 0.05])
+    def test_scaled_nodes_match_matrix_form(self, lin, transform, chain, mu):
+        # H_u against the matrix-form tail solve on the same propagator and
+        # the same weight C_u = S^T S, node by node
+        mu = chain.mu0 / 2.0 if mu is None else mu
+        sol = solve_periodic_lyapunov_scaled(lin, transform, mu, 4096)
+        _, Z = deviation_matrizant(
+            build_u2_u3(lin, transform, mu).generator_samples(4096), TWO_PI, 4096
+        )
+        a, b, _ = transform.half_step_samples(4096)
+        p, mb = 1.0 + mu * a[::2], mu * b[::2]
+        Cu = np.empty((4097, 2, 2))
+        Cu[:, 0, 0] = p ** 2 + mb ** 2
+        Cu[:, 0, 1] = Cu[:, 1, 0] = mu * mb
+        Cu[:, 1, 1] = mu * mu
+        assert_nodes_match(sol.factor.H_u, tail_integral_reference(Z, Cu, sol.step), 1e-13)
+        for H in (sol.H, sol.factor.H_u):
+            assert np.array_equal(H[:, 0, 1], H[:, 1, 0])
+
+    @pytest.mark.parametrize("mu", [0.01, 0.3])
+    def test_direct_nodes_match_matrix_form(self, lin, mu):
+        ent = system_matrix_entries(lin, mu)
+        sol = solve_periodic_lyapunov(ent, TWO_PI, 4096, mu=mu)
+        _, Z = deviation_matrizant(ent, TWO_PI, 4096)
+        assert_nodes_match(sol.H, tail_integral_reference(Z, np.eye(2), sol.step), 1e-13)
+        assert np.array_equal(sol.H[:, 0, 1], sol.H[:, 1, 0])
+
+    def test_residual_matches_matrix_form(self):
+        # a smooth symmetric field that does not solve the problem, so the
+        # residual is O(1) rather than at the roundoff floor
+        n = 1024
+        t = np.arange(n + 1) * (TWO_PI / n)
+        h11, h12, h22 = 2.0 + np.sin(t), 0.3 * np.cos(2.0 * t), 1.5 + 0.5 * np.cos(t)
+        H = np.moveaxis(np.array([[h11, h12], [h12, h22]]), -1, 0)
+        A = np.moveaxis(np.array([
+            [0.1 * np.sin(t), 1.0 + 0.2 * np.cos(3.0 * t)],
+            [-(1.0 + 0.5 * np.cos(t)), -0.2 + 0.1 * np.sin(2.0 * t)],
+        ]), -1, 0)
+        hmin, hnorm = sym_eig_bounds(h11, h12, h22)
+        sol = PeriodicLyapunovSolution(
+            times=t, H=H, mu=math.nan, h_min=float(np.min(hmin)), h_max=float(np.max(hnorm)),
+            hmin_nodes=hmin, hnorm_nodes=hnorm, spectral_radius=math.nan,
+        )
+        dH = (H[2:] - H[:-2]) / (2.0 * sol.step)
+        mid_H, mid_A = H[1:-1], A[1:-1]
+        R = dH + mid_H @ mid_A + np.transpose(mid_A, (0, 2, 1)) @ mid_H + np.eye(2)
+        ref = float(np.max(np.linalg.norm(R, 2, axis=(1, 2)) / (1.0 + hnorm[1:-1])))
+        assert ref > 0.1
+        assert bvp_residual(sol, A) == pytest.approx(ref, rel=1e-12)
 
     def test_scaled_route_matches_direct(self, lin, transform, sol_moderate_mu):
         mu = 0.01

@@ -61,6 +61,8 @@ class TestRk4:
             integrate(oscillator(), 1.0, 0.0, -1.0, 512)
         with pytest.raises(ValueError, match="finite"):
             integrate(oscillator(), np.nan, 0.0, 1.0, 512)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            integrate(oscillator(), 1.0, 0.0, np.inf, 512)
         with pytest.raises(ValueError, match="finite"):
             integrate_batch(oscillator(), [[0.0, 1.0], [0.0, np.inf]], 1.0, 512)
 
