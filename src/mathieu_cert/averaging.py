@@ -49,9 +49,9 @@ __all__ = [
 class AveragingTransform:
     """Periodic zero-mean pair (a, b) with a' = b and b' = -phi_hat.
 
-    The propagators read a, b and phi_hat on the half-step grid of their
-    step count (:meth:`half_step_samples`), sampled once per transform and
-    freed with it.
+    The propagators read b and phi_hat on the half-step grid of their step
+    count (:meth:`half_step_samples`), sampled once per transform and freed
+    with it; a enters only the averaging change of variables v = S u.
     """
 
     a: PeriodicSignal
@@ -65,15 +65,15 @@ class AveragingTransform:
         """min of a(t) over ``grid.samples``, the points where the transform is checked."""
         return float(np.min(self.a.eval(self.grid.samples)))
 
-    def half_step_samples(self, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, phi_hat) on ``half_step_grid(T, n_steps)``, read-only.
+    def half_step_samples(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """(b, phi_hat) on ``half_step_grid(T, n_steps)``, read-only.
 
         Equal bit for bit to ``eval`` on that grid; the even entries are the
         values at the step nodes ``arange(n_steps + 1) * (T / n_steps)``.
         """
         if n_steps not in self._samples:
             t = half_step_grid(self.phi_hat.period, n_steps)
-            samples = tuple(eval_together((self.a, self.b, self.phi_hat), t))
+            samples = tuple(eval_together((self.b, self.phi_hat), t))
             for x in samples:
                 x.flags.writeable = False
             self._samples[n_steps] = samples
@@ -163,13 +163,6 @@ class TransformedSystem:
         e21 = -self.lin.alpha * b - mu * self.lin.beta_hat * a - phi * a + self.mean_phi_a
         return -mu * a, e21, (mu * a - 1.0) * b, a * a / denom, -a * a * b / denom
 
-    def _total(self, a, b, phi) -> np.ndarray:
-        u12, u21, u22, v12, v22 = self._entries(a, b, phi)
-        u1, mu2 = self.u1, self.mu ** 2
-        return matrices_2x2(
-            u1[0, 0], u1[0, 1] + u12 + mu2 * v12, u1[1, 0] + u21, u1[1, 1] + u22 + mu2 * v22
-        )
-
     def u2_at(self, t) -> np.ndarray:
         """U2(t, mu); shape (2, 2) for scalar t, (n, 2, 2) for array t."""
         u12, u21, u22, _, _ = self._entries(*self._at(t))
@@ -179,19 +172,6 @@ class TransformedSystem:
         """U3(t, mu); first column is identically zero."""
         *_, v12, v22 = self._entries(*self._at(t))
         return matrices_2x2(0.0, v12, 0.0, v22)
-
-    def u_total_at(self, t) -> np.ndarray:
-        """U1 + U2(t,mu) + mu^2 U3(t,mu)."""
-        return self._total(*self._at(t))
-
-    def generator_samples(self, n_steps: int) -> np.ndarray:
-        """mu*(U1 + U2 + mu^2 U3) on the half-step grid of ``n_steps`` steps.
-
-        Assembled entry by entry from the transform's samples of a, b and
-        phi_hat, in the input form of ``deviation_matrizant``; equal bit for
-        bit to ``mu * u_total_at(t)`` on that grid.
-        """
-        return self.mu * self._total(*self.tr.half_step_samples(n_steps))
 
 
 def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> TransformedSystem:

@@ -145,7 +145,7 @@ def build_certificate(
         return Certificate(payload=payload, exit_code=3 if chain is None else 2)
 
     sol = solve_periodic_lyapunov_scaled(lin, tr, mu, steps)
-    _, _, phi_hat = tr.half_step_samples(steps)
+    _, phi_hat = tr.half_step_samples(steps)
     payload["spectral_radius_at_mu"] = sol.spectral_radius
     payload["lyapunov"] = {
         "h_min": sol.h_min,

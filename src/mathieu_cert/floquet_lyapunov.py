@@ -25,10 +25,10 @@ explicitly:
   pair, in closed form, and Z = Y(T) - I only has to tell a complex pair
   from a real one, which it does at its own scale;
 * the Lyapunov solution in original coordinates has condition of order
-  1/mu^2, so the certificate path solves the problem in averaged
-  coordinates (where the solution is well conditioned) and maps back
-  through the closed-form change of variables, keeping h_min and h_max at
-  full relative accuracy.
+  1/mu^2, so the radius and the certificate path propagate the coordinates
+  z = (y, y'/mu - b y), nondegenerate at every mu > 0, where the solution
+  is well conditioned, and map back through the closed-form change of
+  variables, keeping h_min and h_max at full relative accuracy.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingTransform, build_u2_u3, u1_is_hurwitz
-from .model import LinearizedSystem, matrices_2x2, system_matrix
+from .averaging import AveragingTransform, u1_is_hurwitz
+from .model import LinearizedSystem, matrices_2x2
 from .periodic_signal import cumulative_simpson, half_step_grid
 
 __all__ = [
@@ -87,8 +87,9 @@ def spectral_norm_2x2(m):
 def sym_eig_bounds(h11, h12, h22, det=None):
     """(lambda_min, lambda_max) of a symmetric 2x2, vectorized.
 
-    The max eigenvalue uses the cancellation-free discriminant
-    (h11-h22)^2 + 4 h12^2; the min eigenvalue is recovered from the
+    The eigenvalue of larger modulus is (tr +- root)/2 with the sign of the
+    trace, so that it does not cancel, from the discriminant
+    root^2 = (h11-h22)^2 + 4 h12^2; the other one is recovered from the
     determinant, which the caller may supply from a better-conditioned
     source than the entry products.
     """
@@ -99,9 +100,10 @@ def sym_eig_bounds(h11, h12, h22, det=None):
         det = h11 * h22 - h12 * h12
     tr = h11 + h22
     root = np.hypot(h11 - h22, 2.0 * h12)
-    lmax = 0.5 * (tr + root)
-    lmin = np.where(lmax != 0.0, det / np.where(lmax != 0.0, lmax, 1.0), 0.5 * (tr - root))
-    return lmin, lmax
+    pos = tr >= 0.0
+    big = 0.5 * (tr + np.where(pos, root, -root))
+    other = np.where(big != 0.0, det / np.where(big != 0.0, big, 1.0), 0.0)
+    return np.where(pos, other, big), np.where(pos, big, other)
 
 
 def _congruence(L, M):
@@ -153,7 +155,8 @@ def deviation_matrizant(W, T: float, n_steps: int = 4096):
     Hillis-Steele scan (Blelloch, "Prefix Sums and Their Applications",
     CMU-CS-90-190) with the combine (L, E) -> L + E + L E, later steps on
     the left, in ceil(log2 n_steps) passes.  Steps and scan run on the four
-    entries as contiguous arrays, with the 2x2 products written out.
+    entries as contiguous arrays, with the 2x2 products written out, and each
+    pass sums into one scratch array so that the heap is not trimmed per pass.
 
     The scan never forms I + Z, so absolute roundoff stays at the scale of
     Z rather than of the identity; that is what makes one-period stability
@@ -174,10 +177,13 @@ def deviation_matrizant(W, T: float, n_steps: int = 4096):
     k3 = am + (0.5 * h) * _products(am, k2)
     k4 = a1 + h * _products(a1, k3)
     D = np.ascontiguousarray((h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4))
+    P = np.empty_like(D)
     shift = 1
     while shift < n_steps:
-        L, E = D[..., shift:], D[..., :-shift]
-        D[..., shift:] = L + E + _products(L, E)
+        L, E, p = D[..., shift:], D[..., :-shift], P[..., shift:]
+        np.add(L, E, out=p)
+        p += _products(L, E)
+        D[..., shift:] = p
         shift *= 2
     Z = np.zeros((n_steps + 1, 2, 2))
     Z[1:] = np.moveaxis(D, -1, 0)
@@ -307,10 +313,9 @@ def truncated_lyapunov_sum(M: np.ndarray, Q: np.ndarray, doublings: int) -> np.n
 
 @dataclass(frozen=True)
 class _UFactor:
-    """Averaged-coordinate factorization H = S^{-T} H_u S^{-1} at the nodes."""
+    """Factorization H = T^{-T} H_u T^{-1} at the nodes, T = [[1, 0], [mu b, mu]]."""
 
     H_u: np.ndarray
-    p: np.ndarray  # 1 + mu*a at the nodes
     b: np.ndarray
     mu: float
 
@@ -320,9 +325,10 @@ class PeriodicLyapunovSolution:
     """Grid-sampled positive periodic solution of H' + HA + A^T H = -I.
 
     ``H`` holds the node values in the original (y, y') coordinates.  When
-    ``factor`` is present the solution came from the averaged-coordinate
-    solve and quadratic forms are evaluated through it, because the direct
-    entries lose the small eigenvalue to cancellation at small mu.
+    ``factor`` is present the solution came from the solve in the
+    coordinates z = (y, y'/mu - b y) and quadratic forms are evaluated
+    through it, because the direct entries lose the small eigenvalue to
+    cancellation at small mu.
     """
 
     times: np.ndarray
@@ -401,11 +407,10 @@ class PeriodicLyapunovSolution:
         v0, v1 = v[..., 0], v[..., 1]
         if self.factor is not None:
             fa = self.factor
-            w1 = v0 / fa.p[i]
-            w2 = -fa.b[i] * v0 / fa.p[i] + v1 / fa.mu
+            w2 = -fa.b[i] * v0 + v1 / fa.mu
             hu = fa.H_u[i]
             out = (
-                hu[..., 0, 0] * w1 * w1 + 2.0 * hu[..., 0, 1] * w1 * w2 + hu[..., 1, 1] * w2 * w2
+                hu[..., 0, 0] * v0 * v0 + 2.0 * hu[..., 0, 1] * v0 * w2 + hu[..., 1, 1] * w2 * w2
             )
         else:
             h = self.H[i]
@@ -468,6 +473,26 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
     )
 
 
+def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None):
+    """Half-step samples of A_z = T^{-1}(A T - T'), z = T(t)^{-1} v, T = [[1, 0], [mu b, mu]].
+
+    phi_hat cancels because b' = -phi_hat, which leaves
+    A_z = mu [[b, 1], [-b^2 - beta_hat - alpha b, -b - alpha]], with trace
+    -alpha*mu and mean mu*U1.  ``pert`` adds T^{-1} dA T, whose second row
+    is [-(d_beta_hat mu + d_phi_hat) - d_alpha mu b, -d_alpha mu].
+    """
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError("mu must be positive and finite")
+    b, _ = tr.half_step_samples(n_steps)
+    mb = mu * b
+    w = matrices_2x2(mb, mu, -mb * (b + lin.alpha) - mu * lin.beta_hat, -mb - mu * lin.alpha)
+    if pert is not None:
+        g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(half_step_grid(lin.period, n_steps))
+        w[..., 1, 0] -= g + pert.d_alpha * mb
+        w[..., 1, 1] -= pert.d_alpha * mu
+    return w
+
+
 def solve_periodic_lyapunov_scaled(
     lin: LinearizedSystem,
     tr: AveragingTransform,
@@ -475,38 +500,34 @@ def solve_periodic_lyapunov_scaled(
     n_steps: int = 4096,
 ) -> PeriodicLyapunovSolution:
     """Same solution as :func:`solve_periodic_lyapunov` for v' = A(t,mu) v,
-    computed through the averaging change of variables.
+    computed in the coordinates z = (y, y'/mu - b y).
 
-    With v = S(t) u the v-problem with right-hand side -I becomes a
-    u-problem with right-hand side -S^T S; its solution H_u is well
-    conditioned for all certified mu, and H = S^{-T} H_u S^{-1} is mapped
-    back entry by entry.  Eigenvalue extremes use det H = det H_u/(p mu)^2,
-    which keeps h_min meaningful even when h_max/h_min ~ 1/mu^2.  S is
-    periodic, so the Liouville value int_0^T tr(mu U) is -alpha*mu*T.
+    With v = T(t) z the v-problem with right-hand side -I becomes a
+    z-problem with right-hand side -C_z, C_z = T^T T; its solution H_z is
+    well conditioned for all certified mu, and H = T^{-T} H_z T^{-1} is
+    mapped back entry by entry.  Eigenvalue extremes use
+    det H = det H_z/mu^2, which keeps h_min meaningful even when
+    h_max/h_min ~ 1/mu^2.  T is periodic and nondegenerate for every
+    mu > 0, and the Liouville value int_0^T tr A_z is -alpha*mu*T.
     """
-    ts = build_u2_u3(lin, tr, mu)
     T = lin.period
-    times, Z = deviation_matrizant(ts.generator_samples(n_steps), T, n_steps)
+    times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps), T, n_steps)
     gap = _floquet_gap(Z[-1], -lin.alpha * mu * T)
     if not gap > 0.0:
         raise UnstableSystemError(
             f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk "
             f"at mu={mu}"
         )
-    a, b, _ = tr.half_step_samples(n_steps)
-    a_nodes, b_nodes = a[::2], b[::2]  # the step nodes, bit for bit
-    p_nodes = 1.0 + mu * a_nodes
+    b = tr.half_step_samples(n_steps)[0][::2]  # the step nodes, bit for bit
 
-    # C_u = S^T S
-    Cu = (p_nodes ** 2 + (mu * b_nodes) ** 2, mu * mu * b_nodes, mu * mu)
-    hu11, hu12, hu22 = _tail_integral_solve(Z, Cu, times[1] - times[0])
+    Cz = (1.0 + (mu * b) ** 2, mu * mu * b, mu * mu)
+    hz11, hz12, hz22 = _tail_integral_solve(Z, Cz, times[1] - times[0])
 
-    h11 = (hu11 - 2.0 * b_nodes * hu12 + b_nodes ** 2 * hu22) / p_nodes ** 2
-    h12 = (hu12 - b_nodes * hu22) / (p_nodes * mu)
-    h22 = hu22 / mu ** 2
+    h11 = hz11 - 2.0 * b * hz12 + b ** 2 * hz22
+    h12 = (hz12 - b * hz22) / mu
+    h22 = hz22 / mu ** 2
 
-    det_hu = hu11 * hu22 - hu12 ** 2
-    det_h = det_hu / (p_nodes * mu) ** 2
+    det_h = (hz11 * hz22 - hz12 ** 2) / mu ** 2
     hmin_nodes, hnorm_nodes = sym_eig_bounds(h11, h12, h22, det=det_h)
     if np.min(det_h) <= 0.0 or np.min(hmin_nodes) <= 0.0:
         raise UnstableSystemError("periodic Lyapunov solution lost positivity")
@@ -520,38 +541,8 @@ def solve_periodic_lyapunov_scaled(
         hmin_nodes=hmin_nodes,
         hnorm_nodes=hnorm_nodes,
         spectral_radius=1.0 - gap,
-        factor=_UFactor(H_u=matrices_2x2(hu11, hu12, hu12, hu22), p=p_nodes, b=b_nodes, mu=mu),
+        factor=_UFactor(H_u=matrices_2x2(hz11, hz12, hz12, hz22), b=b, mu=mu),
     )
-
-
-def _linearization_generator(
-    lin: LinearizedSystem, tr: AveragingTransform, mu: float, pert, n_steps: int
-) -> np.ndarray:
-    """Half-step samples of the generator whose propagator gives the radius
-    of v' = (A(t,mu) + dA(t,mu)) v.
-
-    mu*U(t) in averaged coordinates while the change of variables v = S u
-    is nondegenerate (best precision near the unit circle), the direct
-    A(t,mu) past its degeneracy; ``pert`` adds S^{-1} dA S, whose only
-    nonzero row is the second (S = I on the direct path).  Everything
-    mu-independent is read from the transform's samples.
-    """
-    a, b, phi = tr.half_step_samples(n_steps)
-    try:
-        w = build_u2_u3(lin, tr, mu).generator_samples(n_steps)
-        direct = False
-    except ValueError:
-        w, direct = system_matrix(lin, mu, phi), True
-    if pert is None:
-        return w
-    da = pert.d_alpha
-    g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(half_step_grid(lin.period, n_steps))
-    if direct:
-        w[..., 1, 0] -= mu * g
-    else:
-        w[..., 1, 0] -= g * (1.0 + mu * a) + da * mu * b
-    w[..., 1, 1] -= da * mu
-    return w
 
 
 def spectral_radius_linear_system(
@@ -564,11 +555,11 @@ def spectral_radius_linear_system(
     """Monodromy spectral radius of v' = A(t,mu) v at one parameter value.
 
     With ``pert`` (a :class:`~mathieu_cert.robustness.Perturbation`) the
-    system is the perturbed one, v' = (A + dA) v.  Both propagated forms
-    have trace -(alpha + d_alpha)*mu, which gives the Liouville value of
-    the radius.
+    system is the perturbed one, v' = (A + dA) v.  Both are propagated in
+    the periodic coordinates z = (y, y'/mu - b y), where their trace
+    -(alpha + d_alpha)*mu gives the Liouville value of the radius.
     """
-    W = _linearization_generator(lin, tr, mu, pert, n_steps)
+    W = _z_generator(lin, tr, mu, n_steps, pert)
     _, Z = deviation_matrizant(W, lin.period, n_steps)
     da = 0.0 if pert is None else pert.d_alpha
     return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)

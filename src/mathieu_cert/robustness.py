@@ -358,10 +358,10 @@ def sample_attraction_boundary(
 ) -> np.ndarray:
     """n initial vectors with <H(0) v, v> = scale^2 * lyapunov_radius_sq.
 
-    Directions are drawn uniformly in the well-conditioned coordinates (the
-    averaged ones when available), then scaled onto the requested level set
-    and, if a Euclidean cap is present, shrunk to respect it.  scale < 1
-    samples strictly inside the region.
+    Directions are drawn uniformly in the well-conditioned coordinates
+    (z = (y, y'/mu - b y) when the solution carries its factor), then
+    scaled onto the requested level set and, if a Euclidean cap is present,
+    shrunk to respect it.  scale < 1 samples strictly inside the region.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
@@ -380,8 +380,8 @@ def sample_attraction_boundary(
             hu = fa.H_u[0]
             quad = hu[0, 0] * w[0] ** 2 + 2.0 * hu[0, 1] * w[0] * w[1] + hu[1, 1] * w[1] ** 2
             w = w * math.sqrt(target / quad)
-            # v = S(0) w
-            v = np.array([fa.p[0] * w[0], fa.mu * (fa.b[0] * w[0] + w[1])])
+            # v = T(0) w
+            v = np.array([w[0], fa.mu * (fa.b[0] * w[0] + w[1])])
         else:
             quad = sol.value_at_node(0, w)
             v = w * math.sqrt(target / quad)

@@ -70,7 +70,7 @@ class TestHalfStepSamples:
         samples = tr.half_step_samples(n)
         half = np.arange(2 * n + 1) * (TWO_PI / (2 * n))
         nodes = np.arange(n + 1) * (TWO_PI / n)
-        for got, s in zip(samples, (tr.a, tr.b, tr.phi_hat)):
+        for got, s in zip(samples, (tr.b, tr.phi_hat), strict=True):
             np.testing.assert_array_equal(got, s.eval(half))
             np.testing.assert_array_equal(got[::2], s.eval(nodes))
         # sampled once per transform and step count, and read-only
@@ -268,7 +268,9 @@ class TestTransformConsistency:
         u0 = np.linalg.solve(s_matrix(tr, mu, 0.0), v0)
         t_end, n_steps = 5 * TWO_PI, 5 * 4096
         times, Zv = deviation_matrizant(system_matrix_entries(lin, mu), t_end, n_steps)
-        _, Zu = deviation_matrizant(lambda t: mu * ts.u_total_at(t), t_end, n_steps)
+        _, Zu = deviation_matrizant(
+            lambda t: mu * (ts.u1 + ts.u2_at(t) + mu ** 2 * ts.u3_at(t)), t_end, n_steps
+        )
         rec = slice(None, None, 128)
         v = v0 + Zv[rec] @ v0
         u = u0 + Zu[rec] @ u0

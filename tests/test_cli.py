@@ -430,7 +430,7 @@ def _count_calls(monkeypatch, module, name):
     ],
 )
 def test_one_propagation_per_command(case, beta, mu, code, solves, tmp_path, monkeypatch, capsys):
-    # every command propagates the averaged system once; simulate and the
+    # every command propagates the linearization once; simulate and the
     # Lyapunov dump reuse the solution build_certificate returns
     path = write_model(tmp_path, beta=beta)
     argv = ["--model", path, "--mu", mu, "--steps", "1024"]

@@ -10,8 +10,8 @@ from mathieu_cert.floquet_lyapunov import (
     PeriodicLyapunovSolution,
     UnstableSystemError,
     _floquet_gap,
-    _linearization_generator,
     _solve_discrete_lyapunov_deviation,
+    _z_generator,
     bvp_residual,
     deviation_matrizant,
     krein_envelope,
@@ -25,9 +25,14 @@ from mathieu_cert.floquet_lyapunov import (
     sym_eig_bounds,
     truncated_lyapunov_sum,
 )
-from mathieu_cert.averaging import build_transform, build_u2_u3
-from mathieu_cert.model import LinearizedSystem, system_matrix_entries
-from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid, cumulative_simpson
+from mathieu_cert.averaging import build_transform, build_u1, build_u2_u3
+from mathieu_cert.model import LinearizedSystem, matrices_2x2, system_matrix, system_matrix_entries
+from mathieu_cert.periodic_signal import (
+    PeriodicSignal,
+    QuadratureGrid,
+    cumulative_simpson,
+    half_step_grid,
+)
 from mathieu_cert.robustness import Perturbation
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
 
@@ -104,20 +109,31 @@ def assert_nodes_match(got, ref, rtol):
     assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= rtol * scale)
 
 
-def perturbed_generator(W, lin, tr, mu, pert, averaged):
-    """W plus the perturbation's second-row correction, as a callable:
-    S^{-1} dA S in averaged coordinates, dA itself on the direct system."""
-    def Wp(t):
-        w = np.array(W(t), dtype=float)
-        g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(t)
-        if averaged:
-            w[..., 1, 0] -= g * (1.0 + mu * tr.a.eval(t)) + pert.d_alpha * mu * tr.b.eval(t)
-        else:
-            w[..., 1, 0] -= mu * g
-        w[..., 1, 1] -= pert.d_alpha * mu
-        return w
+def perturbation_matrix(mu, pert, t):
+    """dA(t) = A_pert - A of the direct system, shape (m, 2, 2); zero without ``pert``."""
+    if pert is None:
+        return np.zeros(np.shape(t) + (2, 2))
+    d21 = -(pert.d_beta_hat * mu * mu + mu * pert.d_phi_hat_eval(t))
+    return matrices_2x2(0.0, 0.0, d21, -pert.d_alpha * mu * np.ones_like(t))
 
-    return Wp
+
+def direct_generator(lin, mu, pert=None):
+    """A + dA of v' = (A + dA) v as a callable of times of shape (m,)."""
+    return lambda t: system_matrix(lin, mu, lin.phi_hat.eval(t)) + perturbation_matrix(mu, pert, t)
+
+
+def z_generator_matrix_form(lin, tr, mu, pert=None):
+    """T^{-1}(A T - T') + T^{-1} dA T for v = T z, as a callable of times of
+    shape (m,): the matrix form that ``_z_generator`` writes out, kept as its
+    oracle, with T = [[1, 0], [mu b, mu]] and T' = [[0, 0], [-mu phi_hat, 0]]."""
+    def W(t):
+        A = system_matrix(lin, mu, lin.phi_hat.eval(t))
+        T = matrices_2x2(1.0, 0.0, mu * tr.b.eval(t), mu * np.ones_like(t))
+        dT = matrices_2x2(0.0, 0.0, -mu * lin.phi_hat.eval(t), np.zeros_like(t))
+        T_inv = np.linalg.inv(T)
+        return T_inv @ (A @ T - dT) + T_inv @ perturbation_matrix(mu, pert, t) @ T
+
+    return W
 
 
 class TestMatrizant:
@@ -153,32 +169,30 @@ class TestMatrizant:
         np.testing.assert_allclose(mz.Y[:, 1, 1], np.exp(-mz.times), atol=1e-10)
         assert np.all(mz.Y[:, 0, 1] == 0.0) and np.all(mz.Y[:, 1, 0] == 0.0)
 
-    @pytest.mark.parametrize("averaged,mu", [(True, 1e-3), (False, 1e-3), (False, 1.0)])
-    def test_scan_matches_sequential_steps(self, pendulum_model, lin, transform, averaged, mu):
+    @pytest.mark.parametrize(
+        "z_coords,mu", [(True, 1e-3), (False, 1e-3), (False, 1.0), (True, 1.0)]
+    )
+    def test_scan_matches_sequential_steps(self, pendulum_model, lin, transform, z_coords, mu):
         # roundoff only: the scan reassociates the same step products.  1000
-        # steps leave the last scan pass partial.  Where the radius takes
-        # this case's coordinates (averaged iff the transform is
-        # nondegenerate), its own half-step samples must match as well.
+        # steps leave the last scan pass partial.  In the coordinates
+        # z = (y, y'/mu - b y), which the radius propagates at every mu, its
+        # own half-step samples must match as well.
         pert = Perturbation.for_model(
             pendulum_model, d_alpha=0.02, d_beta=-0.05,
             d_phi=PeriodicSignal(TWO_PI, ((2, 0.1, -0.05),)),
         )
-        if averaged:
-            ts = build_u2_u3(lin, transform, mu)
-            W = lambda t: mu * ts.u_total_at(t)  # noqa: E731
-        else:
-            W = system_matrix_entries(lin, mu)
-        radius_path_averaged = 1.0 + mu * transform.a_min > 0.0
         for n in (64, 1000, 4096):
             for p in (None, pert):
-                Wp = W if p is None else perturbed_generator(W, lin, transform, mu, p, averaged)
+                if z_coords:
+                    Wp = z_generator_matrix_form(lin, transform, mu, p)
+                else:
+                    Wp = direct_generator(lin, mu, p)
                 ref = sequential_rk4_deviation(Wp, TWO_PI, n)
                 atol = 1e-13 * np.max(np.abs(ref))
                 _, z = deviation_matrizant(Wp, TWO_PI, n)
                 np.testing.assert_allclose(z, ref, rtol=0.0, atol=atol)
-                if radius_path_averaged == averaged:
-                    samples = _linearization_generator(lin, transform, mu, p, n)
-                    _, z = deviation_matrizant(samples, TWO_PI, n)
+                if z_coords:
+                    _, z = deviation_matrizant(_z_generator(lin, transform, mu, n, p), TWO_PI, n)
                     np.testing.assert_allclose(z, ref, rtol=0.0, atol=atol)
 
     def test_min_steps(self):
@@ -202,7 +216,7 @@ class TestMatrizant:
         systems = [system_matrix_entries(lin, mu)]
         try:
             ts = build_u2_u3(lin, build_transform(lin, QuadratureGrid(TWO_PI, 2048)), mu)
-            systems.append(lambda t: mu * ts.u_total_at(t))
+            systems.append(lambda t: mu * (ts.u1 + ts.u2_at(t) + mu ** 2 * ts.u3_at(t)))
         except ValueError:  # the averaging transform degenerates at mu = 1
             assert mu > 0.3
         for W in systems:
@@ -287,6 +301,92 @@ class TestSpectralRadius:
         assume(all(abs(q) > 1e-15 * terms for q, terms in jury))
         log_det = math.log1p(tr + det) if tr + det > -1.0 else -math.inf
         assert (_floquet_gap(z, log_det) > 0.0) == all(q > 0.0 for q, _ in jury)
+
+
+class TestZGenerator:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("mu", [None, 0.01, 3.0])
+    def test_matches_matrix_form(self, pendulum_model, lin, transform, chain, mu, perturbed):
+        # the written-out A_z against T^{-1}(A T - T') + T^{-1} dA T at the
+        # half-step samples.  The matrix form cancels the terms mu*phi_hat of
+        # A T and T' before T^{-1} divides by mu, so its own roundoff is a few
+        # eps*|phi_hat| at every mu; that is 2e-9 of the entries at mu0/2
+        mu = chain.mu0 / 2.0 if mu is None else mu
+        pert = None
+        if perturbed:
+            pert = Perturbation.for_model(
+                pendulum_model, d_alpha=0.02, d_beta=-0.05,
+                d_phi=PeriodicSignal(TWO_PI, ((2, 0.1, -0.05),)), d_phi_offset=0.03,
+            )
+        n = 512
+        t = half_step_grid(TWO_PI, n)
+        got = _z_generator(lin, transform, mu, n, pert)
+        ref = z_generator_matrix_form(lin, transform, mu, pert)(t)
+        scale = np.max(np.abs(ref), axis=(1, 2))
+        roundoff = 4.0 * np.finfo(float).eps * np.abs(lin.phi_hat.eval(t))
+        assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= 1e-13 * scale + roundoff)
+        da = 0.0 if pert is None else pert.d_alpha
+        trace = got[:, 0, 0] + got[:, 1, 1]
+        np.testing.assert_allclose(trace, -(lin.alpha + da) * mu, rtol=1e-13)
+        if pert is None:
+            # 2n equispaced samples of a trigonometric polynomial of degree
+            # below 2n average to its mean
+            mean = np.mean(got[:-1], axis=0)
+            np.testing.assert_allclose(mean, mu * build_u1(lin, transform), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf])
+    def test_refuses_mu_outside_the_open_half_line(self, lin, transform, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            spectral_radius_linear_system(lin, transform, mu, 512)
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            solve_periodic_lyapunov_scaled(lin, transform, mu, 512)
+
+    def test_scaled_solve_past_averaging_degeneracy(self):
+        # 1 + mu*a(t) vanishes at mu = 1/max(-a) = 0.5 here, which the z
+        # coordinates do not notice; a stable Mathieu band lies beyond it
+        lin = LinearizedSystem(
+            alpha=1.0, beta_hat=-1.2, phi_hat=PeriodicSignal(TWO_PI, ((1, 0.0, 2.0),)),
+            period=TWO_PI,
+        )
+        tr = build_transform(lin, QuadratureGrid(TWO_PI, 2048))
+        mu = 0.55
+        with pytest.raises(ValueError):
+            build_u2_u3(lin, tr, mu)
+        scaled = solve_periodic_lyapunov_scaled(lin, tr, mu, 4096)
+        direct = solve_periodic_lyapunov(system_matrix_entries(lin, mu), TWO_PI, 4096, mu=mu)
+        assert scaled.spectral_radius == pytest.approx(direct.spectral_radius, rel=1e-12)
+        assert scaled.h_min == pytest.approx(direct.h_min, rel=1e-6)
+        assert scaled.h_max == pytest.approx(direct.h_max, rel=1e-6)
+        rel = np.linalg.norm(direct.H[0] - scaled.H[0]) / np.linalg.norm(scaled.H[0])
+        assert rel < 1e-6
+
+
+class TestSymEigBounds:
+    @pytest.mark.parametrize(
+        "h11,h12,h22", [(-1.0, 0.0, 1e-12), (-1.0, 3e-7, 3e-13), (1e-12, 0.0, -1.0)]
+    )
+    def test_indefinite_matches_eigvalsh(self, h11, h12, h22):
+        # the eigenvalue of larger modulus is negative here; recovering the
+        # negative one from the determinant lost 3e-5 of it
+        ref = np.linalg.eigvalsh(np.array([[h11, h12], [h12, h22]]))
+        np.testing.assert_allclose(sym_eig_bounds(h11, h12, h22), ref, rtol=1e-12)
+
+    def test_caller_determinant_is_used(self):
+        assert sym_eig_bounds(-1.0, 0.0, 1e-12, det=-2e-12) == (-1.0, 2e-12)
+        assert sym_eig_bounds(1.0, 0.0, 1e-12, det=2e-12) == (2e-12, 1.0)
+
+    def test_positive_definite_nodes_unchanged(self, sol_small_mu):
+        # positive trace keeps lambda_max = (tr + root)/2 and
+        # lambda_min = det/lambda_max, so certificate values are bit for bit
+        sol = sol_small_mu
+        h11, h12, h22 = sol.H[:, 0, 0], sol.H[:, 0, 1], sol.H[:, 1, 1]
+        hu = sol.factor.H_u
+        det = (hu[:, 0, 0] * hu[:, 1, 1] - hu[:, 0, 1] ** 2) / sol.mu ** 2
+        lmax = 0.5 * ((h11 + h22) + np.hypot(h11 - h22, 2.0 * h12))
+        lmin, got_max = sym_eig_bounds(h11, h12, h22, det=det)
+        assert np.array_equal(got_max, lmax) and np.array_equal(lmin, det / lmax)
+        assert np.array_equal(sol.hmin_nodes, det / lmax)
+        assert np.array_equal(sol.hnorm_nodes, lmax)
 
 
 class TestConstantLyapunov:
@@ -408,20 +508,18 @@ class TestPeriodicLyapunov:
 
     @pytest.mark.parametrize("mu", [None, 1e-4, 1e-2, 0.05])
     def test_scaled_nodes_match_matrix_form(self, lin, transform, chain, mu):
-        # H_u against the matrix-form tail solve on the same propagator and
-        # the same weight C_u = S^T S, node by node
+        # H_z against the matrix-form tail solve on the same propagator and
+        # the same weight C_z = T^T T, node by node
         mu = chain.mu0 / 2.0 if mu is None else mu
         sol = solve_periodic_lyapunov_scaled(lin, transform, mu, 4096)
-        _, Z = deviation_matrizant(
-            build_u2_u3(lin, transform, mu).generator_samples(4096), TWO_PI, 4096
-        )
-        a, b, _ = transform.half_step_samples(4096)
-        p, mb = 1.0 + mu * a[::2], mu * b[::2]
-        Cu = np.empty((4097, 2, 2))
-        Cu[:, 0, 0] = p ** 2 + mb ** 2
-        Cu[:, 0, 1] = Cu[:, 1, 0] = mu * mb
-        Cu[:, 1, 1] = mu * mu
-        assert_nodes_match(sol.factor.H_u, tail_integral_reference(Z, Cu, sol.step), 1e-13)
+        _, Z = deviation_matrizant(_z_generator(lin, transform, mu, 4096), TWO_PI, 4096)
+        b, _ = transform.half_step_samples(4096)
+        mb = mu * b[::2]
+        Cz = np.empty((4097, 2, 2))
+        Cz[:, 0, 0] = 1.0 + mb ** 2
+        Cz[:, 0, 1] = Cz[:, 1, 0] = mu * mb
+        Cz[:, 1, 1] = mu * mu
+        assert_nodes_match(sol.factor.H_u, tail_integral_reference(Z, Cz, sol.step), 1e-13)
         for H in (sol.H, sol.factor.H_u):
             assert np.array_equal(H[:, 0, 1], H[:, 1, 0])
 
@@ -498,10 +596,9 @@ class TestPeriodicLyapunov:
         rows = []
         for t, (v0, v1) in zip(traj.times, traj.states):
             i = int(round((float(t) % sol.period) / sol.step)) % sol.n_steps
-            w1 = v0 / fa.p[i]
-            w2 = -fa.b[i] * v0 / fa.p[i] + v1 / fa.mu
+            w2 = -fa.b[i] * v0 + v1 / fa.mu
             hu = fa.H_u[i]
-            rows.append(hu[0, 0] * w1 * w1 + 2.0 * hu[0, 1] * w1 * w2 + hu[1, 1] * w2 * w2)
+            rows.append(hu[0, 0] * v0 * v0 + 2.0 * hu[0, 1] * v0 * w2 + hu[1, 1] * w2 * w2)
         got = sol.value(traj.times, traj.states)
         assert got.tobytes() == np.array(rows).tobytes()
         assert sol.value(float(traj.times[5]), traj.states[5]) == rows[5]
@@ -537,8 +634,8 @@ class TestPeriodicLyapunov:
         assert 1.0 - rho == pytest.approx(gap, rel=5e-8)
 
     def test_direct_fallback_radius_pinned(self, lin, transform):
-        # mu = 1 degenerates the averaging transform, so this is the direct
-        # propagation, whose real multiplier pair is read from Z
+        # mu = 1 degenerates the averaging transform but not the z
+        # coordinates; the real multiplier pair is read from Z
         with pytest.raises(ValueError):
             build_u2_u3(lin, transform, 1.0)
         rho = spectral_radius_linear_system(lin, transform, 1.0, 4096)
@@ -546,9 +643,8 @@ class TestPeriodicLyapunov:
 
     @pytest.mark.parametrize("mu", [1e-3, 1.0])
     def test_radius_unchanged_by_perturbed_call(self, pendulum_model, lin, grid, mu):
-        # the perturbed generator edits its samples in place; the transform's
-        # cached samples must come out of that call unchanged (mu = 1 takes
-        # the direct path)
+        # the transform's cached samples must come out of the perturbed call
+        # unchanged (mu = 1 lies past the averaging transform's degeneracy)
         tr = build_transform(lin, grid)
         pert = Perturbation.for_model(
             pendulum_model, d_alpha=0.02, d_beta=-0.05,
@@ -568,8 +664,8 @@ class TestPeriodicLyapunov:
         self, pendulum_model, lin, transform, mu, perturbed
     ):
         # the simulator's separate RK4 loop gives the monodromy column by
-        # column; mu = 1.5 and 3 lie past the transform's degeneracy, where
-        # the radius propagates the direct (perturbed) system instead
+        # column; mu = 1.5 and 3 lie past the averaging transform's
+        # degeneracy, which the z coordinates of the radius do not have
         pert = None
         if perturbed:
             pert = Perturbation.for_model(

@@ -159,3 +159,35 @@ def test_no_private_attribute_reads_across_objects():
             ):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
+
+
+SRC_LINES_CEILING = 2419
+EXPORTED_NAMES_CEILING = 72
+
+
+def test_package_size_ratchet():
+    """Non-blank ``src`` lines and public names of ``mathieu_cert`` stay at or
+    below their committed ceilings.
+
+    Lower a ceiling when a change shrinks the package.  Raising one needs a
+    reason stated in CHANGES.md.
+    """
+    lines = sum(
+        1
+        for path in (SRC / "mathieu_cert").glob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
+    # a fresh interpreter, since importing a submodule such as cli binds it
+    # on the package
+    names = subprocess.run(
+        [sys.executable, "-c",
+         "import mathieu_cert; print(*(n for n in dir(mathieu_cert) if n[0] != '_'))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.split()
+    assert lines <= SRC_LINES_CEILING, lines
+    assert len(names) <= EXPORTED_NAMES_CEILING, names
