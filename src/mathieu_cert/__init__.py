@@ -19,7 +19,6 @@ from .averaging import (
     build_u1,
     build_u2_u3,
     mean_phi_a,
-    s_matrix,
     u1_is_hurwitz,
 )
 from .bounds import (
@@ -40,7 +39,6 @@ from .floquet_lyapunov import (
     solve_periodic_lyapunov,
     solve_periodic_lyapunov_scaled,
     spectral_radius_linear_system,
-    truncated_lyapunov_sum,
 )
 from .model import (
     LinearizedSystem,

@@ -41,7 +41,6 @@ __all__ = [
     "u1_is_hurwitz",
     "bogolyubov_condition",
     "build_u2_u3",
-    "s_matrix",
 ]
 
 
@@ -194,12 +193,3 @@ def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> Tra
         lin=lin,
         tr=tr,
     )
-
-
-def s_matrix(tr: AveragingTransform, mu: float, t) -> np.ndarray:
-    """Change-of-variables matrix S(t) with v = S(t) u.
-
-    S = [[1 + mu*a, 0], [mu*b, mu]]; shape (2, 2) or (n, 2, 2).
-    """
-    t = np.asarray(t, dtype=float)
-    return matrices_2x2(1.0 + mu * tr.a.eval(t), 0.0, mu * tr.b.eval(t), mu)

@@ -28,7 +28,8 @@ explicitly:
   1/mu^2, so the radius and the certificate path propagate the coordinates
   z = (y, y'/mu - b y), nondegenerate at every mu > 0, where the solution
   is well conditioned, and map back through the closed-form change of
-  variables, keeping h_min and h_max at full relative accuracy.
+  variables, keeping h_min and h_max at full relative accuracy; every
+  solution keeps that factorization, the direct solve with T = I.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "solve_periodic_lyapunov",
     "solve_periodic_lyapunov_scaled",
     "spectral_radius_linear_system",
-    "truncated_lyapunov_sum",
     "krein_envelope",
     "bvp_residual",
     "spectral_norm_2x2",
@@ -291,44 +291,19 @@ def _solve_discrete_lyapunov_deviation(Z: np.ndarray, Q: np.ndarray) -> np.ndarr
     return _mat_sym(x)
 
 
-def truncated_lyapunov_sum(M: np.ndarray, Q: np.ndarray, doublings: int) -> np.ndarray:
-    """Partial sum  sum_{k=0}^{2^doublings - 1} (M^T)^k Q M^k  by doubling.
-
-    This is the tail-integral representation of the periodic Lyapunov
-    solution truncated after 2^doublings periods, evaluated exactly through
-    the periodicity identity Y(t + kT) = Y(t) Y(T)^k.  Serves as the
-    independent oracle for the discrete Lyapunov solve.
-    """
-    s = np.array(Q, dtype=float)
-    mk = np.array(M, dtype=float)
-    for _ in range(doublings):
-        s = s + mk.T @ s @ mk
-        mk = mk @ mk
-    return s
-
-
 # ---------------------------------------------------------------------------
 # periodic Lyapunov solutions
-
-
-@dataclass(frozen=True)
-class _UFactor:
-    """Factorization H = T^{-T} H_u T^{-1} at the nodes, T = [[1, 0], [mu b, mu]]."""
-
-    H_u: np.ndarray
-    b: np.ndarray
-    mu: float
 
 
 @dataclass(frozen=True)
 class PeriodicLyapunovSolution:
     """Grid-sampled positive periodic solution of H' + HA + A^T H = -I.
 
-    ``H`` holds the node values in the original (y, y') coordinates.  When
-    ``factor`` is present the solution came from the solve in the
-    coordinates z = (y, y'/mu - b y) and quadratic forms are evaluated
-    through it, because the direct entries lose the small eigenvalue to
-    cancellation at small mu.
+    ``H`` holds the node values in the original (y, y') coordinates and
+    ``H_z`` their factor H = T^{-T} H_z T^{-1}, T = [[1, 0], [s b, s]] with
+    s = ``z_scale``: s = mu in z = (y, y'/mu - b y), T = I for the direct
+    solve.  Quadratic forms are evaluated through ``H_z``, because the
+    direct entries lose the small eigenvalue to cancellation at small mu.
     """
 
     times: np.ndarray
@@ -339,7 +314,9 @@ class PeriodicLyapunovSolution:
     hmin_nodes: np.ndarray
     hnorm_nodes: np.ndarray
     spectral_radius: float
-    factor: _UFactor | None = None
+    H_z: np.ndarray
+    b: np.ndarray
+    z_scale: float
 
     @property
     def period(self) -> float:
@@ -402,19 +379,13 @@ class PeriodicLyapunovSolution:
         return self.value_at_node(self.node_index(t), v)
 
     def value_at_node(self, i, v):
-        """<H_i v, v> at node index i; vectorized over i and the rows of v."""
+        """<H_i v, v> = <H_z,i w, w> with w = T_i^{-1} v at node index i;
+        vectorized over i and the rows of v."""
         v = np.asarray(v, dtype=float)
         v0, v1 = v[..., 0], v[..., 1]
-        if self.factor is not None:
-            fa = self.factor
-            w2 = -fa.b[i] * v0 + v1 / fa.mu
-            hu = fa.H_u[i]
-            out = (
-                hu[..., 0, 0] * v0 * v0 + 2.0 * hu[..., 0, 1] * v0 * w2 + hu[..., 1, 1] * w2 * w2
-            )
-        else:
-            h = self.H[i]
-            out = h[..., 0, 0] * v0 ** 2 + 2.0 * h[..., 0, 1] * v0 * v1 + h[..., 1, 1] * v1 ** 2
+        w2 = -self.b[i] * v0 + v1 / self.z_scale
+        hz = self.H_z[i]
+        out = hz[..., 0, 0] * v0 * v0 + 2.0 * hz[..., 0, 1] * v0 * w2 + hz[..., 1, 1] * w2 * w2
         return out if np.ndim(out) else float(out)
 
 
@@ -439,27 +410,32 @@ def _tail_integral_solve(Z: np.ndarray, C, step: float):
     return _congruence(inv, (X[0, 0] - G[:, 0], X[0, 1] - G[:, 1], X[1, 1] - G[:, 2]))
 
 
-def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float("nan")) -> PeriodicLyapunovSolution:
-    """Positive T-periodic solution of H' + HA + A^T H = -I on the grid.
+def _periodic_solution(times, Z, log_det, C, b, z_scale, mu) -> PeriodicLyapunovSolution:
+    """Solution of H' + HA + A^T H = -I from the deviation Z of z = T^{-1} v.
 
-    The monodromy spectrum must lie strictly inside the unit disk;
-    otherwise no positive periodic solution exists and
-    :class:`UnstableSystemError` is raised.  Direct-coordinate solve,
-    adequate while the solution's condition number is moderate; the
-    certificate pipeline uses :func:`solve_periodic_lyapunov_scaled`.
-    The Liouville value int_0^T tr A is integrated over the nodes.
+    T = [[1, 0], [s b, s]] at the nodes, s = ``z_scale``; ``log_det`` is the
+    Liouville value of Z and ``C`` the entries of C_z = T^T T.  H_z is mapped
+    back to H = T^{-T} H_z T^{-1} entry by entry (the identity, bit for bit,
+    at T = I), and det H = det H_z/s^2 keeps h_min accurate when
+    h_max/h_min ~ 1/mu^2.
     """
-    times, Z = deviation_matrizant(A, T, n_steps)
-    step = T / n_steps
-    trace_A = np.trace(np.broadcast_to(A(times), times.shape + (2, 2)), axis1=1, axis2=2)
-    gap = _floquet_gap(Z[-1], cumulative_simpson(trace_A, step)[-1])
+    gap = _floquet_gap(Z[-1], log_det)
     if not gap > 0.0:
         raise UnstableSystemError(
-            f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk"
+            f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk "
+            f"at mu={mu}"
         )
-    h11, h12, h22 = _tail_integral_solve(Z, (1.0, 0.0, 1.0), step)
-    hmin_nodes, hnorm_nodes = sym_eig_bounds(h11, h12, h22)
-    if np.min(hmin_nodes) <= 0.0:
+    hz11, hz12, hz22 = _tail_integral_solve(Z, C, times[1] - times[0])
+    s = z_scale
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        h11 = hz11 - 2.0 * b * hz12 + b ** 2 * hz22
+        h12 = (hz12 - b * hz22) / s
+        h22 = hz22 / s ** 2
+        det_h = (hz11 * hz22 - hz12 ** 2) / s ** 2
+        hmin_nodes, hnorm_nodes = sym_eig_bounds(h11, h12, h22, det=det_h)
+    if not (np.all(np.isfinite(det_h)) and np.all(np.isfinite(hnorm_nodes))):
+        raise ArithmeticError(f"H(t, mu) overflows double precision at mu={mu}")
+    if not (np.min(det_h) > 0.0 and np.min(hmin_nodes) > 0.0):  # a NaN fails too
         raise UnstableSystemError("periodic Lyapunov solution lost positivity")
     return PeriodicLyapunovSolution(
         times=times,
@@ -470,7 +446,27 @@ def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float(
         hmin_nodes=hmin_nodes,
         hnorm_nodes=hnorm_nodes,
         spectral_radius=1.0 - gap,
+        H_z=matrices_2x2(hz11, hz12, hz12, hz22),
+        b=b,
+        z_scale=z_scale,
     )
+
+
+def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float("nan")) -> PeriodicLyapunovSolution:
+    """Positive T-periodic solution of H' + HA + A^T H = -I on the grid.
+
+    The monodromy spectrum must lie strictly inside the unit disk;
+    otherwise no positive periodic solution exists and
+    :class:`UnstableSystemError` is raised.  Direct-coordinate solve
+    (T = I), adequate while the solution's condition number is moderate,
+    and the independent reference for the change of variables; the
+    certificate pipeline uses :func:`solve_periodic_lyapunov_scaled`.
+    The Liouville value int_0^T tr A is integrated over the nodes.
+    """
+    times, Z = deviation_matrizant(A, T, n_steps)
+    trace_A = np.trace(np.broadcast_to(A(times), times.shape + (2, 2)), axis1=1, axis2=2)
+    log_det = cumulative_simpson(trace_A, T / n_steps)[-1]
+    return _periodic_solution(times, Z, log_det, (1.0, 0.0, 1.0), np.zeros_like(times), 1.0, mu)
 
 
 def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None):
@@ -502,47 +498,17 @@ def solve_periodic_lyapunov_scaled(
     """Same solution as :func:`solve_periodic_lyapunov` for v' = A(t,mu) v,
     computed in the coordinates z = (y, y'/mu - b y).
 
-    With v = T(t) z the v-problem with right-hand side -I becomes a
-    z-problem with right-hand side -C_z, C_z = T^T T; its solution H_z is
-    well conditioned for all certified mu, and H = T^{-T} H_z T^{-1} is
-    mapped back entry by entry.  Eigenvalue extremes use
-    det H = det H_z/mu^2, which keeps h_min meaningful even when
-    h_max/h_min ~ 1/mu^2.  T is periodic and nondegenerate for every
-    mu > 0, and the Liouville value int_0^T tr A_z is -alpha*mu*T.
+    With v = T(t) z, T = [[1, 0], [mu b, mu]], the v-problem with
+    right-hand side -I becomes a z-problem with right-hand side -C_z,
+    C_z = T^T T; its solution H_z is well conditioned for all certified mu.
+    T is periodic and nondegenerate for every mu > 0, and the Liouville
+    value int_0^T tr A_z is -alpha*mu*T.  Where H overflows double
+    precision (below mu = 1e-77 for the pendulum) ArithmeticError is raised.
     """
-    T = lin.period
-    times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps), T, n_steps)
-    gap = _floquet_gap(Z[-1], -lin.alpha * mu * T)
-    if not gap > 0.0:
-        raise UnstableSystemError(
-            f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk "
-            f"at mu={mu}"
-        )
+    times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps), lin.period, n_steps)
     b = tr.half_step_samples(n_steps)[0][::2]  # the step nodes, bit for bit
-
     Cz = (1.0 + (mu * b) ** 2, mu * mu * b, mu * mu)
-    hz11, hz12, hz22 = _tail_integral_solve(Z, Cz, times[1] - times[0])
-
-    h11 = hz11 - 2.0 * b * hz12 + b ** 2 * hz22
-    h12 = (hz12 - b * hz22) / mu
-    h22 = hz22 / mu ** 2
-
-    det_h = (hz11 * hz22 - hz12 ** 2) / mu ** 2
-    hmin_nodes, hnorm_nodes = sym_eig_bounds(h11, h12, h22, det=det_h)
-    if np.min(det_h) <= 0.0 or np.min(hmin_nodes) <= 0.0:
-        raise UnstableSystemError("periodic Lyapunov solution lost positivity")
-
-    return PeriodicLyapunovSolution(
-        times=times,
-        H=matrices_2x2(h11, h12, h12, h22),
-        mu=mu,
-        h_min=float(np.min(hmin_nodes)),
-        h_max=float(np.max(hnorm_nodes)),
-        hmin_nodes=hmin_nodes,
-        hnorm_nodes=hnorm_nodes,
-        spectral_radius=1.0 - gap,
-        factor=_UFactor(H_u=matrices_2x2(hz11, hz12, hz12, hz22), b=b, mu=mu),
-    )
+    return _periodic_solution(times, Z, -lin.alpha * mu * lin.period, Cz, b, mu, mu)
 
 
 def spectral_radius_linear_system(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .floquet_lyapunov import PeriodicLyapunovSolution
 from .model import MathieuModel
-from .periodic_signal import PeriodicSignal, QuadratureGrid, signal_from_dict, signal_to_dict
+from .periodic_signal import PeriodicSignal, QuadratureGrid, signal_from_dict, signal_to_dict, sup_norm
 
 __all__ = [
     "Perturbation",
@@ -103,7 +103,7 @@ class Perturbation:
     def sup_d_phi_hat(self, grid: QuadratureGrid) -> float:
         if self.d_phi is None:
             return abs(self.scaling * self.d_phi_offset)
-        return float(np.max(np.abs(self.d_phi_hat_eval(grid.samples))))
+        return sup_norm(self.d_phi_hat_eval, grid)
 
     @property
     def is_zero(self) -> bool:
@@ -186,17 +186,14 @@ def q_of_mu(
 ) -> float:
     """Nonlinearity strength  q(mu) = sup_t (|beta+d_beta| mu^2 + |phi+d_phi| mu) p.
 
-    The supremum is taken over one period (``grid.samples``), valid
-    because perturbations are restricted to T-periodic functions.
+    The supremum is ``sup_norm`` over one period, valid because perturbations
+    are T-periodic; it can still fall 7e-12 relative below the true sup.
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
     beta = abs(model.beta + (pert.d_beta if pert is not None else 0.0))
-    pts = grid.samples
-    phi = model.phi.eval(pts)
-    if pert is not None:
-        phi = phi + pert.d_phi_eval(pts)
-    sup_phi = float(np.max(np.abs(phi)))
+    phi = model.phi.eval if pert is None else (lambda t: model.phi.eval(t) + pert.d_phi_eval(t))
+    sup_phi = sup_norm(phi, grid)
     return (beta * mu * mu + sup_phi * mu) * p
 
 
@@ -243,7 +240,8 @@ def attraction_certificate(
 ) -> AttractionCertificate:
     """Attraction-set radii from the Lyapunov extremes and q(mu).
 
-    lyapunov_radius_sq = h_min^3 / (64 h_max^4 q(mu)^2); a vanishing q
+    lyapunov_radius_sq = (h_min/h_max)^3 / (64 h_max q(mu)^2), which at tiny mu
+    underflows to a conservative 0 where h_max^4 would overflow; a vanishing q
     (linear nonlinearity) yields an unbounded region, reported as +inf.
     """
     if q_mu < 0.0:
@@ -251,7 +249,7 @@ def attraction_certificate(
     if q_mu == 0.0:
         radius_sq = math.inf
     else:
-        radius_sq = sol.h_min ** 3 / (64.0 * sol.h_max ** 4 * q_mu ** 2)
+        radius_sq = (sol.h_min / sol.h_max) ** 3 / (64.0 * sol.h_max * q_mu ** 2)
     euclid = None if rho is None else rho * sol.h_min / (4.0 * sol.h_max)
     return AttractionCertificate(
         mu=sol.mu,
@@ -358,10 +356,11 @@ def sample_attraction_boundary(
 ) -> np.ndarray:
     """n initial vectors with <H(0) v, v> = scale^2 * lyapunov_radius_sq.
 
-    Directions are drawn uniformly in the well-conditioned coordinates
-    (z = (y, y'/mu - b y) when the solution carries its factor), then
-    scaled onto the requested level set and, if a Euclidean cap is present,
-    shrunk to respect it.  scale < 1 samples strictly inside the region.
+    Directions w are drawn uniformly in the solution's well-conditioned
+    coordinates (z = (y, y'/mu - b y) on the certificate path), scaled
+    onto the requested level set, mapped to v = T(0) w and, if a Euclidean
+    cap is present, shrunk to respect it.  scale < 1 samples strictly
+    inside the region.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
@@ -369,28 +368,18 @@ def sample_attraction_boundary(
         raise ValueError("unbounded attraction region cannot be sampled on its boundary")
     rng = rng or np.random.default_rng(0)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    out = np.empty((n, 2))
+    w0, w1 = np.cos(thetas), np.sin(thetas)
     # nudged inside by 1e-12 so the coordinate roundtrip in the membership
     # predicate cannot push a boundary sample out by rounding
     target = scale * scale * cert.lyapunov_radius_sq * (1.0 - 1e-12)
-    for i, w in enumerate(dirs):
-        if sol.factor is not None:
-            fa = sol.factor
-            hu = fa.H_u[0]
-            quad = hu[0, 0] * w[0] ** 2 + 2.0 * hu[0, 1] * w[0] * w[1] + hu[1, 1] * w[1] ** 2
-            w = w * math.sqrt(target / quad)
-            # v = T(0) w
-            v = np.array([w[0], fa.mu * (fa.b[0] * w[0] + w[1])])
-        else:
-            quad = sol.value_at_node(0, w)
-            v = w * math.sqrt(target / quad)
-        if cert.euclid_radius is not None:
-            r = math.hypot(v[0], v[1])
-            if r > cert.euclid_radius:
-                v = v * (cert.euclid_radius / r)
-        out[i] = v
-    return out
+    hz = sol.H_z[0]
+    r = np.sqrt(target / (hz[0, 0] * w0 ** 2 + 2.0 * hz[0, 1] * w0 * w1 + hz[1, 1] * w1 ** 2))
+    w0, w1 = w0 * r, w1 * r
+    v = np.stack([w0, sol.z_scale * (sol.b[0] * w0 + w1)], axis=1)
+    if cert.euclid_radius is not None:
+        cap = cert.euclid_radius * (1.0 - 1e-12)  # nudged inside as the level is
+        v = v * (cap / np.maximum(np.hypot(v[:, 0], v[:, 1]), cap))[:, None]
+    return v
 
 
 def perturbation_to_dict(pert: Perturbation) -> dict:

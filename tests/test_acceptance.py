@@ -30,7 +30,6 @@ from mathieu_cert.floquet_lyapunov import (
     solve_periodic_lyapunov_scaled,
     spectral_radius_from_deviation,
     spectral_radius_linear_system,
-    truncated_lyapunov_sum,
 )
 from mathieu_cert.model import (
     LinearizedSystem,
@@ -55,6 +54,7 @@ from mathieu_cert.simulate import (
 )
 
 from conftest import TWO_PI
+from oracles import truncated_lyapunov_sum
 from test_robustness import random_budget_perturbation
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))

@@ -11,13 +11,13 @@ from mathieu_cert.averaging import (
     build_u1,
     build_u2_u3,
     mean_phi_a,
-    s_matrix,
     u1_is_hurwitz,
 )
 from mathieu_cert.model import LinearizedSystem
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid, eval_together, integrate
 
 from conftest import TWO_PI, signal_strategy
+from oracles import s_matrix
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 GRID = QuadratureGrid(TWO_PI, 2048)

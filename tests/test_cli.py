@@ -460,3 +460,36 @@ def test_whole_certified_range_exits_0(beta, mu, tmp_path, capsys):
     assert cert["spectral_radius_at_mu"] < 1.0
     assert cert["lyapunov"]["h_min"] * float(mu) == pytest.approx(5.0, rel=1e-6)
     assert cert["lyapunov"]["bvp_residual_scaled"] <= 1e-12
+
+
+def _payload_numbers(node):
+    """Every leaf of a JSON payload that is a number or a non-finite marker."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _payload_numbers(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _payload_numbers(v)
+    elif isinstance(node, str) and node in ("inf", "-inf", "nan"):
+        yield float(node)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+@pytest.mark.parametrize("k", [14, 30, 60, 100, 140])
+def test_tiny_mu_is_finite_or_refused_by_name(k, model_file, tmp_path, capsys):
+    # h_max grows like 2/mu^3: its fourth power overflows from mu = 1e-26
+    # (an OverflowError with a bare errno message), and below 1e-77 H itself
+    # does not fit in a double, whose infinities read as NaN downstream
+    out = tmp_path / "cert.json"
+    code = main(["certify", "--model", model_file, "--mu", f"1e-{k}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 0:
+        payload = json.loads(out.read_text())
+        assert payload["attraction"]["lyapunov_radius_sq"] >= 0.0
+        assert all(math.isfinite(x) for x in _payload_numbers(payload)), payload
+    else:
+        assert f"mu=1e-{k}" in err, err
+        assert "(34," not in err and "Numerical result" not in err, err
+        assert "Warning" not in err, err

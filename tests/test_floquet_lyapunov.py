@@ -23,7 +23,6 @@ from mathieu_cert.floquet_lyapunov import (
     spectral_radius_from_deviation,
     spectral_radius_linear_system,
     sym_eig_bounds,
-    truncated_lyapunov_sum,
 )
 from mathieu_cert.averaging import build_transform, build_u1, build_u2_u3
 from mathieu_cert.model import LinearizedSystem, matrices_2x2, system_matrix, system_matrix_entries
@@ -37,6 +36,7 @@ from mathieu_cert.robustness import Perturbation
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
 
 from conftest import TWO_PI
+from oracles import truncated_lyapunov_sum
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 # zero or within six decades of the scale, so that no product underflows;
@@ -380,7 +380,7 @@ class TestSymEigBounds:
         # lambda_min = det/lambda_max, so certificate values are bit for bit
         sol = sol_small_mu
         h11, h12, h22 = sol.H[:, 0, 0], sol.H[:, 0, 1], sol.H[:, 1, 1]
-        hu = sol.factor.H_u
+        hu = sol.H_z
         det = (hu[:, 0, 0] * hu[:, 1, 1] - hu[:, 0, 1] ** 2) / sol.mu ** 2
         lmax = 0.5 * ((h11 + h22) + np.hypot(h11 - h22, 2.0 * h12))
         lmin, got_max = sym_eig_bounds(h11, h12, h22, det=det)
@@ -519,8 +519,8 @@ class TestPeriodicLyapunov:
         Cz[:, 0, 0] = 1.0 + mb ** 2
         Cz[:, 0, 1] = Cz[:, 1, 0] = mu * mb
         Cz[:, 1, 1] = mu * mu
-        assert_nodes_match(sol.factor.H_u, tail_integral_reference(Z, Cz, sol.step), 1e-13)
-        for H in (sol.H, sol.factor.H_u):
+        assert_nodes_match(sol.H_z, tail_integral_reference(Z, Cz, sol.step), 1e-13)
+        for H in (sol.H, sol.H_z):
             assert np.array_equal(H[:, 0, 1], H[:, 1, 0])
 
     @pytest.mark.parametrize("mu", [0.01, 0.3])
@@ -546,6 +546,7 @@ class TestPeriodicLyapunov:
         sol = PeriodicLyapunovSolution(
             times=t, H=H, mu=math.nan, h_min=float(np.min(hmin)), h_max=float(np.max(hnorm)),
             hmin_nodes=hmin, hnorm_nodes=hnorm, spectral_radius=math.nan,
+            H_z=H, b=np.zeros(n + 1), z_scale=1.0,
         )
         dH = (H[2:] - H[:-2]) / (2.0 * sol.step)
         mid_H, mid_A = H[1:-1], A[1:-1]
@@ -553,6 +554,19 @@ class TestPeriodicLyapunov:
         ref = float(np.max(np.linalg.norm(R, 2, axis=(1, 2)) / (1.0 + hnorm[1:-1])))
         assert ref > 0.1
         assert bvp_residual(sol, A) == pytest.approx(ref, rel=1e-12)
+
+    def test_direct_solve_carries_the_identity_factor(self, lin):
+        # the direct solve is the shared core with T = I: H_z is H itself
+        sol = solve_periodic_lyapunov(system_matrix_entries(lin, 0.01), TWO_PI, 4096, mu=0.01)
+        assert np.array_equal(sol.H, sol.H_z)
+        assert np.array_equal(sol.b, np.zeros_like(sol.times))
+        assert sol.z_scale == 1.0
+
+    def test_scaled_refuses_an_overflowing_h(self, lin, transform):
+        # h_max ~ 2/mu^3 is past double precision; infinite entries give a
+        # NaN that a "min <= 0" positivity guard would let through
+        with pytest.raises(ArithmeticError, match="overflows double precision at mu=1e-140"):
+            solve_periodic_lyapunov_scaled(lin, transform, 1e-140, 4096)
 
     def test_scaled_route_matches_direct(self, lin, transform, sol_moderate_mu):
         mu = 0.01
@@ -592,12 +606,11 @@ class TestPeriodicLyapunov:
         traj = integrate_batch(
             linear_system(lin, sol.mu), np.array([[0.3, -0.2]]), 2.6 * TWO_PI, 4096, 7
         )[0]
-        fa = sol.factor
         rows = []
         for t, (v0, v1) in zip(traj.times, traj.states):
             i = int(round((float(t) % sol.period) / sol.step)) % sol.n_steps
-            w2 = -fa.b[i] * v0 + v1 / fa.mu
-            hu = fa.H_u[i]
+            w2 = -sol.b[i] * v0 + v1 / sol.z_scale
+            hu = sol.H_z[i]
             rows.append(hu[0, 0] * v0 * v0 + 2.0 * hu[0, 1] * v0 * w2 + hu[1, 1] * w2 * w2)
         got = sol.value(traj.times, traj.states)
         assert got.tobytes() == np.array(rows).tobytes()

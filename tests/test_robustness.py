@@ -1,9 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mathieu_cert.floquet_lyapunov import PeriodicLyapunovSolution, spectral_radius_linear_system
+from mathieu_cert.floquet_lyapunov import (
+    PeriodicLyapunovSolution,
+    solve_periodic_lyapunov,
+    spectral_radius_linear_system,
+)
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
 from mathieu_cert.robustness import (
     Perturbation,
@@ -21,9 +26,10 @@ from mathieu_cert.robustness import (
     sample_attraction_boundary,
 )
 from mathieu_cert.simulate import integrate_batch, nonlinear_system, verify_envelope
-from mathieu_cert.model import shift_to_zero
+from mathieu_cert.model import shift_to_zero, system_matrix_entries
 
 from conftest import TWO_PI
+from oracles import boundary_samples_per_row
 
 GRID = QuadratureGrid(TWO_PI, 2048)
 
@@ -42,6 +48,9 @@ def constant_sol(h: float, T: float = TWO_PI, mu: float = 0.01, n: int = 64):
         hmin_nodes=arr,
         hnorm_nodes=arr,
         spectral_radius=0.5,
+        H_z=H,
+        b=np.zeros(n + 1),
+        z_scale=1.0,
     )
 
 
@@ -146,6 +155,29 @@ class TestQ:
 
     def test_q_tilde(self):
         assert q_tilde(0.5, 3.0) == 3.0
+
+    def test_sups_reach_a_dense_max(self, pendulum_model):
+        # a plain max over grid.samples falls 4.4e-6 (phi), 8.7e-7
+        # (phi + d_phi) and 2.8e-9 (d_phi_hat) relative below this
+        # 2^22-sample max; sup_norm's refinement leaves at most 7e-12
+        model = replace(
+            pendulum_model, phi=PeriodicSignal(TWO_PI, ((3, 0.4, -0.9), (7, 0.8, 0.3)))
+        )
+        pert = Perturbation.for_model(
+            model, d_phi=PeriodicSignal(TWO_PI, ((5, 0.3, 0.7),)), d_phi_offset=0.1
+        )
+        dense = np.array_split(np.arange(2 ** 22) * (TWO_PI / 2 ** 22), 16)
+
+        def dense_max(f):
+            return max(float(np.max(np.abs(f(t)))) for t in dense)
+
+        sup_phi = q_of_mu(model, None, 1.0, 1.0, GRID) - model.beta
+        assert sup_phi >= dense_max(model.phi.eval) * (1.0 - 1e-11)
+        sup_phi = q_of_mu(model, pert, 1.0, 1.0, GRID) - abs(model.beta + pert.d_beta)
+        ref = dense_max(lambda t: model.phi.eval(t) + pert.d_phi_eval(t))
+        assert sup_phi >= ref * (1.0 - 1e-11)
+        ref = dense_max(pert.d_phi_hat_eval)
+        assert pert.sup_d_phi_hat(GRID) >= ref * (1.0 - 1e-11)
 
 
 class TestAttraction:
@@ -331,6 +363,34 @@ class TestOnCertifiedPendulum:
             assert sol.value_at_node(0, v) == pytest.approx(
                 0.25 * cert.lyapunov_radius_sq, rel=1e-9
             )
+
+
+    @pytest.mark.parametrize("case", ["scaled", "direct", "capped"])
+    def test_boundary_sampling_matches_per_row_form(self, lin, sol_small_mu, case):
+        # the vectorized sampler against the row-by-row form it replaced, on
+        # the same directions; the two differ only where the C library's pow
+        # and Python's hypot round differently from numpy's square and hypot
+        # (about 1 row in 3,000, by at most 2 ulp of the row's norm)
+        sol, q, rho = sol_small_mu, 1e-8, 0.5
+        if case == "direct":
+            sol = solve_periodic_lyapunov(system_matrix_entries(lin, 0.01), TWO_PI, 4096, mu=0.01)
+            q, rho = 1e-3, None
+        elif case == "capped":
+            q = 1e-30  # the Lyapunov level lies far outside the Euclid cap
+        cert = attraction_certificate(sol, q, p=0.1, rho=rho)
+        got = sample_attraction_boundary(sol, cert, 256, rng=np.random.default_rng(4))
+        ref = boundary_samples_per_row(sol, cert, 256, rng=np.random.default_rng(4))
+        norm = np.hypot(ref[:, 0], ref[:, 1])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - ref) <= 4.0 * eps * norm[:, None])
+        assert np.count_nonzero(np.any(got != ref, axis=1)) <= 16
+        if case == "capped":
+            uncapped = attraction_certificate(sol, q, p=0.1)
+            far = sample_attraction_boundary(sol, uncapped, 256, rng=np.random.default_rng(4))
+            assert np.all(np.hypot(far[:, 0], far[:, 1]) > cert.euclid_radius)
+            np.testing.assert_allclose(np.hypot(got[:, 0], got[:, 1]), cert.euclid_radius,
+                                       rtol=2e-12)
+            assert all(cert.contains(sol, *v) for v in got)
 
 
 class TestPerturbationIO:
