@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,16 @@ class Nonlinearity:
         if self.scale == 0.0:
             raise ValueError("scale must be nonzero")
 
+    @cached_property
+    def _array_constants(self):
+        # Horner from x * (0.0 + c_last) equals Horner from zeros bit for bit, -0.0 included
+        *rest, last = self.coeffs or (0.0,)
+        return (*map(np.array, (self.shift, self.scale, 0.0 + last)), [np.array(c) for c in reversed(rest)])
+
     def value(self, y):
-        """f(y) elementwise; a Python float gives a float equal bit for bit to the array result."""
+        """f(y) elementwise, on arrays with 0-d array constants (cheaper numpy operands
+        than floats); a Python float gives a float equal bit for bit to the array result.
+        """
         if isinstance(y, float):
             x = self.shift + y
             if self.kind == "pendulum_sine":
@@ -74,12 +83,13 @@ class Nonlinearity:
                 out = x * (out + c)
             return out
         y = np.asarray(y, dtype=float)
-        x = self.shift + y
+        shift, scale, last, rest = self._array_constants
+        x = shift + y
         if self.kind == "pendulum_sine":
-            out = self.scale * np.sin(x)
+            out = scale * np.sin(x)
         else:
-            out = np.zeros_like(x)
-            for c in reversed(self.coeffs):
+            out = x * last
+            for c in rest:
                 out = x * (out + c)
         return out if out.ndim else float(out)
 

@@ -267,7 +267,9 @@ def attraction_certificate(
 # decay envelopes
 
 
-def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float) -> np.ndarray:
+def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float) -> np.ndarray | float:
+    if pert.is_zero and mu > 0.0:  # delta_a_norm is exactly 0 at every node; other mu reach its refusal
+        return 0.0
     d = np.asarray(delta_a_norm(pert, mu, sol.times))
     return np.maximum(d[:-1], d[1:])
 

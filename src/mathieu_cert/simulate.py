@@ -5,9 +5,9 @@ constant damping a, T-periodic c, and g(y) = y for the linear systems.  One
 classical RK4 loop integrates them all, with a fixed step tied to the period:
 certificates compare trajectories against analytic envelopes at fixed times,
 and a fixed step makes runs reproducible bit for bit.  c is sampled once on
-one period's half-step grid.  y and y' step as separate arrays for a batch,
-and as Python floats for a single member, through the same step expression
-and the same hold rule, so a single run equals its batch member bit for bit.
+one period's half-step grid.  A batch steps a stacked (y, y') buffer and one
+member steps on Python floats, with the same operations per element and the
+same hold rule, so a single run equals its batch member bit for bit.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
     # c(t) at the start, midpoint and end of each step of one period; step i
     # starts at (i-1) h, which c sees as the step (i-1) % steps_per_period
     c = system.coef(np.arange(2 * steps_per_period + 1) * (0.5 * h)).tolist()
+    c = c if len(s) == 1 else list(map(np.array, c))  # 0-d: cheaper ufunc operands
     table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
     a, g = system.damping, system.g
     hh, h6 = 0.5 * h, h / 6.0
@@ -162,17 +163,35 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
             rec += [(y, v)] * (len(rec_idx) - len(rec))
             states, frozen = np.array(rec)[:, None, :], np.array([diverged])
         else:
-            y, v = s[:, 0], s[:, 1]
-            frozen = np.zeros(len(s), dtype=bool)
-            rec = [(y, v)]
+            # stage j holds rows y_j, v_j, k_j: its state S_j = (y_j, v_j) and
+            # derivative K_j = (v_j, k_j) are views, updated by one call each
+            buf = np.empty((4, 3, len(s)))
+            (y1, v1, k1), (y2, v2, k2), (y3, v3, k3), (y4, v4, k4) = buf
+            (S1, S2, S3, S4), (K1, K2, K3, K4) = buf[:, :2], buf[:, 1:]
+            na, half, full, sixth, two = map(np.array, (-a, hh, h, h6, 2.0))
+            S, frozen = np.array([s[:, 0], s[:, 1]]), np.zeros(len(s), dtype=bool)
+            rec, latched = [S], not len(s)  # an empty batch has no maximum
             for i in range(1, n_total + 1):
-                yn, vn = step(y, v, *table[(i - 1) % steps_per_period])
-                # NaN and inf fail the comparison too; a failed member holds
-                # its last bounded state from here on
-                frozen |= ~(np.maximum(np.abs(yn), np.abs(vn)) <= DIVERGENCE_CUTOFF)
-                y, v = np.where(frozen, y, yn), np.where(frozen, v, vn)
+                c0, cm, c1 = table[(i - 1) % steps_per_period]
+                # the per-element operations of step() above, in its order
+                S1[...] = S
+                np.subtract(na * v1, c0 * g(y1), k1)
+                np.add(S, half * K1, S2)
+                np.subtract(na * v2, cm * g(y2), k2)
+                np.add(S, half * K2, S3)
+                np.subtract(na * v3, cm * g(y3), k3)
+                np.add(S, full * K3, S4)
+                np.subtract(na * v4, c1 * g(y4), k4)
+                Sn = S + sixth * (K1 + two * (K2 + K3) + K4)
+                # NaN fails the test too; from the first failure on, a failed
+                # member holds its last bounded state
+                if latched or not np.abs(Sn).max() <= DIVERGENCE_CUTOFF:
+                    latched = True
+                    frozen |= ~(np.maximum(np.abs(Sn[0]), np.abs(Sn[1])) <= DIVERGENCE_CUTOFF)
+                    Sn = np.where(frozen, S, Sn)
+                S = Sn
                 if i % stride == 0 or i == n_total:
-                    rec.append((y, v))
+                    rec.append(S)
             states = np.array(rec).transpose(0, 2, 1)  # (m, n_members, 2)
     return np.array(rec_idx, dtype=float) * h, states, frozen
 

@@ -240,6 +240,42 @@ class TestDecayEnvelope:
         assert rates["conservative"] <= rates["printed"] + 1e-30
         assert rates["linear"] == pytest.approx(2.0 * rates["printed"], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "pert",
+        [
+            Perturbation.zero(),
+            Perturbation(0.0, 0.0, PeriodicSignal(TWO_PI, ()), 0.0, -2.5),
+            Perturbation(-0.0, -0.0, None, -0.0, -0.3),
+        ],
+    )
+    def test_zero_perturbation_matches_delta_a_norm_formula(self, pert, sol_small_mu):
+        # a zero perturbation skips delta_a_norm; the results must still be
+        # those of the formula evaluated with it, bit for bit
+        assert pert.is_zero
+        t = np.linspace(0.0, 7.5 * TWO_PI, 41)
+        for sol in (sol_small_mu, constant_sol(2.0, mu=0.01)):
+            hn = sol.hnorm_steps
+            d = np.asarray(delta_a_norm(pert, sol.mu, sol.times))
+            d = np.maximum(d[:-1], d[1:])
+            eps = 1.0 - 2.0 * hn * d
+            expected = {
+                "linear": sol.hnorm_nodes[0] / sol.h_min * 0.7
+                * np.exp(-sol.step_integral(1.0 / hn - 2.0 * d, t)),
+                "nonlinear": 4.0 / sol.h_min * 0.7
+                * np.exp(-sol.step_integral(eps / (2.0 * hn), t)),
+            }
+            for variant, want in expected.items():
+                got = decay_envelope(sol, pert, 0.7, t, variant)
+                assert got.tobytes() == want.tobytes(), variant
+            h = sol.step
+            assert envelope_rate_integrals(sol, pert, sol.mu) == {
+                "linear": float(np.sum(h * (1.0 / hn - 2.0 * d))),
+                "conservative": float(np.sum(h * eps / (2.0 * hn))),
+                "printed": float(np.sum(h / (2.0 * hn))),
+            }
+        with pytest.raises(ValueError, match="mu must be positive"):
+            envelope_rate_integrals(sol_small_mu, pert, 0.0)
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             decay_envelope(constant_sol(1.0), Perturbation.zero(), 1.0, 0.0, "quadratic")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_cert.floquet_lyapunov import matrizant, solve_periodic_lyapunov
 from mathieu_cert.model import Nonlinearity, shift_to_zero, system_matrix_entries
@@ -16,6 +18,7 @@ from mathieu_cert.simulate import (
 )
 
 from conftest import TWO_PI
+from oracles import batch_rk4_separate_arrays, nonlinearity_value_from_zeros
 from test_robustness import constant_sol
 
 
@@ -198,6 +201,153 @@ class TestBatchConsistency:
         assert held.diverged
         np.testing.assert_array_equal(held.times, blown.times)
         np.testing.assert_array_equal(held.states, blown.states)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_batch_matches_separate_arrays(system, inits, t_end, steps, stride):
+    """integrate_batch equals the separate-array loop bit for bit; returns the flags."""
+    trajs = integrate_batch(system, inits, t_end, steps, record_stride=stride)
+    times, states, frozen = batch_rk4_separate_arrays(system, inits, t_end, steps, stride)
+    for i, traj in enumerate(trajs):
+        assert_same_bits(traj.times, times)
+        assert_same_bits(traj.states, states[:, i])
+    assert_same_bits([traj.diverged for traj in trajs], frozen)
+    return frozen
+
+
+def forced(f):
+    phi = PeriodicSignal(TWO_PI, ((1, -0.4, 0.3), (3, 0.2, 0.0)))
+    return nonlinear_system(0.1, 0.25, phi, f, 1.0)
+
+
+class TestBatchAgainstSeparateArrays:
+    """The stacked stage buffer steps every member with the per-element
+    operations of the loop on separate y and y' arrays, which the tests keep
+    as an oracle, and follows its hold rule bit for bit."""
+
+    @pytest.mark.parametrize("width", [2, 3, 64])
+    @pytest.mark.parametrize(
+        "tag", ["linear", "perturbed_linear", "nonlinear", "perturbed_nonlinear"]
+    )
+    def test_system_tags(self, tag, width, lin, pendulum_model):
+        m = pendulum_model
+        pert = None
+        if tag.startswith("perturbed"):
+            d_phi = PeriodicSignal(TWO_PI, ((2, 0.1, 0.05),))
+            pert = Perturbation.for_model(m, 0.02, -0.01, d_phi, 0.03)
+        if "nonlinear" in tag:
+            system = nonlinear_system(m.alpha, m.beta, m.phi, shift_to_zero(m), 0.05, pert)
+        else:
+            system = linear_system(lin, 0.05, pert)
+        assert system.tag == tag
+        inits = np.random.default_rng(width).uniform(-1.0, 1.0, (width, 2))
+        # 666 steps: a stride of 7 does not divide them
+        assert_batch_matches_separate_arrays(system, inits, 1.3 * TWO_PI, 512, 7)
+
+    @pytest.mark.parametrize("width", [2, 64])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Nonlinearity("polynomial", (-1.0, 0.1, -0.0)),
+            Nonlinearity("polynomial", (-0.0,)),
+            Nonlinearity("polynomial", (2.0, -0.5, 0.25), 0.7),
+            Nonlinearity("pendulum_sine", (), 0.0, 2.5),
+            Nonlinearity("pendulum_sine", (), 3.0, -0.75),
+        ],
+    )
+    def test_nonlinearities(self, f, width):
+        inits = np.random.default_rng(width).uniform(-2.0, 2.0, (width, 2))
+        inits[:2] = [[0.0, -0.0], [-0.0, 0.0]]  # signed zeros keep their sign
+        assert_batch_matches_separate_arrays(forced(f), inits, 0.8 * TWO_PI, 256, 5)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Nonlinearity("polynomial", (-1.0, 0.1, -0.0)),
+            Nonlinearity("polynomial", (-0.0,)),
+            Nonlinearity("polynomial", (0.5, -0.0, -0.0), -0.2),
+            Nonlinearity("pendulum_sine", (), 3.0, -0.75),
+        ],
+    )
+    def test_value_on_arrays_matches_zeros_start(self, f):
+        ys = np.array([0.0, -0.0, 1e-300, -2.5, 0.2, 1e200, -np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(f.value(ys), nonlinearity_value_from_zeros(f, ys))
+
+    def test_only_velocity_turns_nan(self):
+        # c = 0 and g(y) = 1e300 y^2: g is finite at the stages y and y + h v/2
+        # but overflows at y + h v, so k4 = -0 v - 0 inf is NaN and only y' of
+        # the first step is NaN; the bound test must not drop that NaN
+        f = Nonlinearity("polynomial", (0.0, 1e300))
+        system = nonlinear_system(0.0, 0.0, PeriodicSignal(TWO_PI, ()), f, 1.0)
+        h = TWO_PI / 256
+        inits = np.array([[12000.0, 2000.0 / h], [1.0, 0.0], [0.0, 3.0]])
+        frozen = assert_batch_matches_separate_arrays(system, inits, 0.1 * TWO_PI, 256, 1)
+        np.testing.assert_array_equal(frozen, [True, False, False])
+
+    def test_member_failing_once_stays_held(self):
+        # c = -50 cos(64 t) pushes the first member past 1e12 in the first
+        # step and pulls it back in the second: a held member must stay held
+        f = Nonlinearity("polynomial", (1.0,))
+        phi = PeriodicSignal(TWO_PI, ((64, -50.0, 0.0),))
+        system = nonlinear_system(0.0, 0.0, phi, f, 1.0)
+        inits = np.array([[0.999e12, 0.0], [0.5, 0.0]])
+        frozen = assert_batch_matches_separate_arrays(system, inits, 0.1 * TWO_PI, 256, 1)
+        np.testing.assert_array_equal(frozen, [True, False])
+
+    @pytest.mark.parametrize(
+        "system, inits",
+        [
+            # y'' = 50 y: every member diverges, at different steps
+            (autonomous(-50.0), [[1.0, 0.0], [0.0, 1e-3], [-1e4, 2.0]]),
+            # f(1e11) = 1e300 * 1e33 overflows: the first member fails the first step
+            (autonomous(0.0, 0.0, 1e300), [[1e11, 0.0], [0.3, 0.0], [0.0, -0.2]]),
+            # y'' = -y + y^3 blows up in finite time from y = 2 only
+            (autonomous(1.0, 0.0, -1.0), [[0.5, 0.0], [2.0, 0.0]]),
+        ],
+    )
+    def test_diverging_members(self, system, inits):
+        frozen = assert_batch_matches_separate_arrays(
+            system, np.array(inits), 4 * TWO_PI, 512, 24
+        )
+        assert frozen.any()
+
+    def test_overflowing_sine_coefficient(self, pendulum_model):
+        # c = beta mu^2 overflows to inf at mu = 1e200, for every member
+        m = pendulum_model
+        system = nonlinear_system(m.alpha, m.beta, m.phi, shift_to_zero(m), 1e200)
+        inits = np.array([[0.1, 0.0], [0.0, 0.0], [-0.2, 0.3]])
+        frozen = assert_batch_matches_separate_arrays(system, inits, TWO_PI, 512, 8)
+        np.testing.assert_array_equal(frozen, [True, True, True])
+
+    def test_empty_batch(self):
+        assert integrate_batch(oscillator(), np.zeros((0, 2)), 1.0, 512) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(2, 70),
+        sine=st.booleans(),
+        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+        shift=st.floats(-4.0, 4.0),
+        alpha=st.floats(0.0, 1.0),
+        mu=st.floats(0.01, 3.0),
+        scale=st.sampled_from([1.0, 1e3, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_batches(self, width, sine, coeffs, shift, alpha, mu, scale, seed):
+        if sine:
+            f = Nonlinearity("pendulum_sine", (), shift, coeffs[0] or 1.0)
+        else:
+            f = Nonlinearity("polynomial", tuple(coeffs), shift)
+        phi = PeriodicSignal(TWO_PI, ((1, coeffs[-1], 0.5), (2, 0.0, -0.3)))
+        system = nonlinear_system(alpha, 0.25, phi, f, mu)
+        inits = np.random.default_rng(seed).uniform(-scale, scale, (width, 2))
+        assert_batch_matches_separate_arrays(system, inits, 0.6 * TWO_PI, 256, 9)
 
 
 class TestNonlinearityOnFloats:

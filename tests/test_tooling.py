@@ -161,7 +161,7 @@ def test_no_private_attribute_reads_across_objects():
     assert not found, found
 
 
-SRC_LINES_CEILING = 2372
+SRC_LINES_CEILING = 2402
 EXPORTED_NAMES_CEILING = 70
 
 
