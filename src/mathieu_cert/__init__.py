@@ -29,7 +29,6 @@ from .bounds import (
     script_c_positivity,
 )
 from .floquet_lyapunov import (
-    Matrizant,
     PeriodicLyapunovSolution,
     UnstableSystemError,
     bvp_residual,
@@ -82,7 +81,6 @@ from .simulate import (
     Trajectory,
     integrate_batch,
     linear_system,
-    lyapunov_value,
     nonlinear_system,
     verify_envelope,
 )

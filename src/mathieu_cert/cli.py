@@ -98,7 +98,7 @@ def _budget_dict(b) -> dict:
 
 
 def _averaged_range(
-    lin: LinearizedSystem, grid: QuadratureGrid, mu_cap: float = 1.0
+    lin: LinearizedSystem, grid: QuadratureGrid
 ) -> tuple[AveragingTransform, BogolyubovResult, BoundChain | None]:
     """The mu-independent stages in order: transform, averaged test and,
     when the test holds, u1, h1 and the bound chain down to mu0."""
@@ -108,7 +108,7 @@ def _averaged_range(
         return tr, bog, None
     u1 = build_u1(lin, tr)
     h1 = solve_constant_lyapunov(u1)
-    return tr, bog, compute_bound_chain(lin, tr, u1, h1, mu_cap=mu_cap)
+    return tr, bog, compute_bound_chain(lin, tr, u1, h1)
 
 
 def build_certificate(
@@ -118,7 +118,6 @@ def build_certificate(
     rho: float | None = None,
     grid_n: int = 2048,
     steps: int = 4096,
-    mu_cap: float = 1.0,
 ) -> Certificate:
     """Run the full certification pipeline for one model at one mu.
 
@@ -129,7 +128,7 @@ def build_certificate(
         raise ValueError("mu must be positive and finite")
     lin = linearize(model)
     grid = QuadratureGrid(lin.period, grid_n)
-    tr, bog, chain = _averaged_range(lin, grid, mu_cap)
+    tr, bog, chain = _averaged_range(lin, grid)
     payload: dict = {
         "schema": 1,
         "tool_version": __version__,
@@ -158,10 +157,11 @@ def build_certificate(
         "linear": _budget_dict(b_lin),
         "nonlinear": _budget_dict(b_nonlin),
     }
+    budgets_hold = pert is None or b_nonlin.is_admissible(pert, grid)
     if pert is not None:
         payload["budgets"]["perturbation"] = {
             "admissible_linear": b_lin.is_admissible(pert, grid),
-            "admissible_nonlinear": b_nonlin.is_admissible(pert, grid),
+            "admissible_nonlinear": budgets_hold,
             "mu_sup_d_phi_hat": mu * pert.sup_d_phi_hat(grid),
             "mu_coeff_combo": mu * (abs(pert.d_beta_hat) * mu + abs(pert.d_alpha)),
         }
@@ -178,7 +178,6 @@ def build_certificate(
         "q_mu": q,
         "q_tilde": q_tilde(q, sol.h_max),
     }
-    budgets_hold = pert is None or b_nonlin.is_admissible(pert, grid)
     if budgets_hold:
         cert = attraction_certificate(sol, q, p, rho_eff)
         payload["attraction"] = cert.as_dict()
@@ -260,10 +259,8 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _dump_flat_csv(payload: dict, out: str | None) -> None:
-    lines = ["key,value"]
-    for k, v in _flatten(_jsonable(payload)):
-        lines.append(f"{k},{json.dumps(v)}")
-    _emit("\n".join(lines) + "\n", out)
+    rows = (f"{k},{json.dumps(v)}" for k, v in _flatten(_jsonable(payload)))
+    _emit("\n".join(["key,value", *rows]) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +320,7 @@ def _cmd_certify(args) -> int:
         _dump_lyapunov(cert.sol, args.dump_lyapunov)
     if args.dump_matrizant:
         _dump_matrizant(model, mu, args.steps, args.dump_matrizant)
-    if args.format == "csv":
-        _dump_flat_csv(cert.payload, args.out)
-    else:
-        _dump_json(cert.payload, args.out)
+    (_dump_flat_csv if args.format == "csv" else _dump_json)(cert.payload, args.out)
     return cert.exit_code
 
 
@@ -343,15 +337,18 @@ def _cmd_margins(args) -> int:
         "h_max": cert.payload["lyapunov"]["h_max"],
         "budgets": cert.payload["budgets"],
     }
-    if args.format == "csv":
-        _dump_flat_csv(payload, args.out)
-    else:
-        _dump_json(payload, args.out)
+    (_dump_flat_csv if args.format == "csv" else _dump_json)(payload, args.out)
     return 0
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _table(header: str, *columns) -> str:
+    """CSV rows of ``columns`` under ``header``, each float written as its repr."""
+    rows = np.column_stack(columns).tolist()
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _cmd_simulate(args) -> int:
@@ -394,17 +391,13 @@ def _cmd_simulate(args) -> int:
         f"# initial_lyapunov_value={_fmt(psi0)}",
         f"# inside_lyapunov_region={str(in_lyap).lower()} inside_euclid_region={str(in_euclid).lower()}",
         f"# envelope_certified={str(env_ok).lower()} diverged={str(traj.diverged).lower()}",
-        "t,y,y_prime,lyapunov_value,envelope,margin",
     ]
-    psi = sol.value(traj.times, traj.states)
-    for i, t in enumerate(traj.times):
-        y, yp = traj.states[i]
-        e = env[i]
-        margin = e - (y * y + yp * yp)
-        lines.append(
-            f"{_fmt(t)},{_fmt(y)},{_fmt(yp)},{_fmt(psi[i])},{_fmt(e)},{_fmt(margin)}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    y, yp = traj.states.T
+    table = _table(
+        "t,y,y_prime,lyapunov_value,envelope,margin",
+        traj.times, y, yp, sol.value(traj.times, traj.states), env, env - (y * y + yp * yp),
+    )
+    _emit("\n".join(lines) + "\n" + table, args.out)
     return 0
 
 
@@ -452,26 +445,16 @@ def _dump_transform(model: MathieuModel, mu: float, grid_n: int, path: str) -> N
 
 
 def _dump_lyapunov(sol: PeriodicLyapunovSolution, path: str) -> None:
-    lines = ["t,h11,h12,h22,h_min_t,h_norm_t"]
-    for i, t in enumerate(sol.times):
-        h = sol.H[i]
-        lines.append(
-            f"{_fmt(t)},{_fmt(h[0, 0])},{_fmt(h[0, 1])},{_fmt(h[1, 1])},"
-            f"{_fmt(sol.hmin_nodes[i])},{_fmt(sol.hnorm_nodes[i])}"
-        )
-    _emit("\n".join(lines) + "\n", path)
+    H = sol.H
+    _emit(_table("t,h11,h12,h22,h_min_t,h_norm_t", sol.times, H[:, 0, 0], H[:, 0, 1],
+                 H[:, 1, 1], sol.hmin_nodes, sol.hnorm_nodes), path)
 
 
 def _dump_matrizant(model: MathieuModel, mu: float, steps: int, path: str) -> None:
     lin = linearize(model)
-    mz = matrizant(system_matrix_entries(lin, mu), lin.period, steps)
-    lines = ["t,y11,y12,y21,y22"]
-    for i, t in enumerate(mz.times):
-        y = mz.Y[i]
-        lines.append(
-            f"{_fmt(t)},{_fmt(y[0, 0])},{_fmt(y[0, 1])},{_fmt(y[1, 0])},{_fmt(y[1, 1])}"
-        )
-    _emit("\n".join(lines) + "\n", path)
+    times, Y = matrizant(system_matrix_entries(lin, mu), lin.period, steps)
+    _emit(_table("t,y11,y12,y21,y22", times, Y[:, 0, 0], Y[:, 0, 1], Y[:, 1, 0], Y[:, 1, 1]),
+          path)
 
 
 # ---------------------------------------------------------------------------

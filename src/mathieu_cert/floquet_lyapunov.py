@@ -44,7 +44,6 @@ from .model import LinearizedSystem, matrices_2x2
 from .periodic_signal import cumulative_simpson, half_step_grid
 
 __all__ = [
-    "Matrizant",
     "PeriodicLyapunovSolution",
     "UnstableSystemError",
     "matrizant",
@@ -124,19 +123,6 @@ def _congruence(L, M):
 # matrizants
 
 
-@dataclass(frozen=True)
-class Matrizant:
-    """Fundamental matrix Y(t) on a uniform grid over [0, T], Y(0) = I."""
-
-    times: np.ndarray
-    Y: np.ndarray
-    step: float
-
-    @property
-    def monodromy(self) -> np.ndarray:
-        return self.Y[-1]
-
-
 def _products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X Y for entry-major stacks: entry (i, j) of every matrix is the array X[i, j]."""
     return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
@@ -190,14 +176,14 @@ def deviation_matrizant(W, T: float, n_steps: int = 4096):
     return np.arange(n_steps + 1) * h, Z
 
 
-def matrizant(A, T: float, n_steps: int = 4096) -> Matrizant:
+def matrizant(A, T: float, n_steps: int = 4096):
     """Fundamental matrix of Y' = A(t) Y, Y(0) = I, on the RK4 grid of step T/n_steps.
 
     ``A`` follows the vectorized contract of :func:`deviation_matrizant`,
-    whose scan this is.
+    whose scan this is.  Returns ``(times, Y)`` with Y = I + Z.
     """
     times, Z = deviation_matrizant(A, T, n_steps)
-    return Matrizant(times=times, Y=Z + np.eye(2), step=T / n_steps)
+    return times, Z + np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +198,21 @@ def _floquet_gap(Z: np.ndarray, log_det: float) -> float:
     complex pair has modulus exp(log_det / 2), which Liouville's formula
     gives exactly however close to the unit circle the pair lies.  A real
     pair has multipliers 1 + l for the eigenvalues l of Z, the small one
-    taken as det Z / l_big so that it does not cancel.
+    taken as det Z / l_big so that it does not cancel.  When the largest
+    entry of Z is below 2^-511, where products of entries are subnormal, the
+    eigenvalues come from 2^e Z, largest entry near 1, scaled back exactly.
     """
-    z11, z12, z21, z22 = (float(x) for x in Z.flat)
+    z = [float(x) for x in Z.flat]
+    big = max(map(abs, z))
+    e = -math.frexp(big)[1] if big < 2.0 ** -511 else 0
+    z11, z12, z21, z22 = (math.ldexp(x, e) for x in z)
     disc = (z11 - z22) ** 2 + 4.0 * z12 * z21
     if disc < 0.0:
         return -math.expm1(0.5 * log_det)
     tr = z11 + z22
     l_big = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
     l_small = (z11 * z22 - z12 * z21) / l_big if l_big != 0.0 else 0.0
-    return min(-l if l >= -1.0 else 2.0 + l for l in (l_big, l_small))
+    return min(-l if l >= -1.0 else 2.0 + l for l in (math.ldexp(l_big, -e), math.ldexp(l_small, -e)))
 
 
 def spectral_radius_from_deviation(Z: np.ndarray, log_det: float) -> float:
@@ -489,6 +480,15 @@ def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_ste
     return w
 
 
+def _z_deviation(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None):
+    """``deviation_matrizant`` of :func:`_z_generator`, refused by ArithmeticError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps, pert), lin.period, n_steps)
+    if not np.all(np.isfinite(Z[-1])):
+        raise ArithmeticError(f"the propagation overflows at mu={mu} with {n_steps} steps per period")
+    return times, Z
+
+
 def solve_periodic_lyapunov_scaled(
     lin: LinearizedSystem,
     tr: AveragingTransform,
@@ -505,7 +505,7 @@ def solve_periodic_lyapunov_scaled(
     value int_0^T tr A_z is -alpha*mu*T.  Where H overflows double
     precision (below mu = 1e-77 for the pendulum) ArithmeticError is raised.
     """
-    times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps), lin.period, n_steps)
+    times, Z = _z_deviation(lin, tr, mu, n_steps)
     b = tr.half_step_samples(n_steps)[0][::2]  # the step nodes, bit for bit
     Cz = (1.0 + (mu * b) ** 2, mu * mu * b, mu * mu)
     return _periodic_solution(times, Z, -lin.alpha * mu * lin.period, Cz, b, mu, mu)
@@ -525,8 +525,7 @@ def spectral_radius_linear_system(
     the periodic coordinates z = (y, y'/mu - b y), where their trace
     -(alpha + d_alpha)*mu gives the Liouville value of the radius.
     """
-    W = _z_generator(lin, tr, mu, n_steps, pert)
-    _, Z = deviation_matrizant(W, lin.period, n_steps)
+    _, Z = _z_deviation(lin, tr, mu, n_steps, pert)
     da = 0.0 if pert is None else pert.d_alpha
     return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
 

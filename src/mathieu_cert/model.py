@@ -104,8 +104,6 @@ class Nonlinearity:
                 out = out * x + j * self.coeffs[j - 1]
         return out if out.ndim else float(out)
 
-    __call__ = value
-
 
 @dataclass(frozen=True)
 class MathieuModel:

@@ -10,6 +10,7 @@ exact (no ODE solves, no root finding for integration offsets).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class PeriodicSignal:
     period : float
         Period T > 0.
     harmonics : tuple of (k, cos_coeff, sin_coeff)
-        Harmonic indices k >= 1, pairwise distinct.  No constant term is
+        Integer harmonic indices k >= 1, pairwise distinct.  No constant term is
         representable, so the mean over one period is exactly zero.
     """
 
@@ -44,6 +45,8 @@ class PeriodicSignal:
     def __post_init__(self):
         if not (math.isfinite(self.period) and self.period > 0.0):
             raise ValueError(f"period must be positive and finite, got {self.period}")
+        if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k, _, _ in self.harmonics):
+            raise ValueError("harmonic indices must be integers")
         normalized = tuple(
             (int(k), float(c), float(s)) for (k, c, s) in self.harmonics
         )
@@ -64,8 +67,6 @@ class PeriodicSignal:
         """Evaluate at scalar or ndarray t."""
         (out,) = eval_together((self,), t)
         return out if out.ndim else float(out)
-
-    __call__ = eval
 
     @property
     def mean_square(self) -> float:
@@ -139,13 +140,6 @@ def half_step_grid(period: float, n_steps: int) -> np.ndarray:
     return np.arange(2 * n_steps + 1) * (period / (2 * n_steps))
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def integrate(f, a: float, b: float, grid: QuadratureGrid) -> float:
     """Composite Simpson approximation of the integral of f over [a, b].
 
@@ -154,6 +148,7 @@ def integrate(f, a: float, b: float, grid: QuadratureGrid) -> float:
     only for periodic trigonometric integrands with harmonics below n/2 (about
     n/4 for squares of series); higher ones alias without warning, and a
     non-periodic integrand such as t*phi(t) keeps the usual O(h^4) error.
+    On the grid's even panel count :func:`cumulative_simpson` is that rule.
     """
     if a > b:
         raise ValueError(f"integration bounds must satisfy a <= b, got {a} > {b}")
@@ -161,9 +156,8 @@ def integrate(f, a: float, b: float, grid: QuadratureGrid) -> float:
         return 0.0
     n = grid.n_points
     x = np.linspace(a, b, n + 1)
-    y = np.asarray(f.eval(x) if isinstance(f, PeriodicSignal) else f(x), dtype=float)
-    h = (b - a) / n
-    return float(h / 3.0 * np.dot(_simpson_weights(n), y))
+    y = f.eval(x) if isinstance(f, PeriodicSignal) else f(x)
+    return float(cumulative_simpson(y, (b - a) / n)[-1])
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .floquet_lyapunov import PeriodicLyapunovSolution
 from .model import LinearizedSystem, Nonlinearity
 from .periodic_signal import PeriodicSignal
 from .robustness import Perturbation
@@ -30,7 +29,6 @@ __all__ = [
     "nonlinear_system",
     "integrate",
     "integrate_batch",
-    "lyapunov_value",
     "verify_envelope",
 ]
 
@@ -237,13 +235,6 @@ def integrate_batch(
         Trajectory(times, states[:, i], system.mu, system.tag, diverged=bool(frozen[i]))
         for i in range(len(frozen))
     ]
-
-
-def lyapunov_value(sol: PeriodicLyapunovSolution, traj: Trajectory, t_index: int) -> float:
-    """<H(t mod T) v(t), v(t)> at a recorded sample, H extended periodically."""
-    if not 0 <= t_index < len(traj.times):
-        raise IndexError("t_index outside the recorded trajectory")
-    return sol.value(float(traj.times[t_index]), traj.states[t_index])
 
 
 @dataclass(frozen=True)

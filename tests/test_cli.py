@@ -9,6 +9,10 @@ import pytest
 
 from mathieu_cert import cli, floquet_lyapunov
 from mathieu_cert.cli import build_certificate, main, parse_grid_spec
+from mathieu_cert.floquet_lyapunov import matrizant
+from mathieu_cert.model import linearize, model_from_dict, shift_to_zero, system_matrix_entries
+from mathieu_cert.robustness import Perturbation, decay_envelope
+from mathieu_cert.simulate import integrate, nonlinear_system
 
 from conftest import TWO_PI
 
@@ -47,6 +51,17 @@ def assert_csv_only(argv, capsys):
     assert main([*argv, "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "invalid choice: 'json'" in captured.err
+
+
+def csv_fields(text):
+    """The rows of a CSV text without its '#' comment lines, split into fields."""
+    return [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+
+
+def assert_fields_equal(rows, expected):
+    # every written field reads back as exactly the library value
+    got = np.array([[float(x) for x in row] for row in rows])
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestCertify:
@@ -151,8 +166,19 @@ class TestCertify:
         assert code == 0
         dump = json.loads(tdump.read_text())
         assert np.asarray(dump["u2"]).shape == (2049, 2, 2)
-        assert hdump.read_text().splitlines()[0] == "t,h11,h12,h22,h_min_t,h_norm_t"
-        assert ydump.read_text().splitlines()[0] == "t,y11,y12,y21,y22"
+        hrows = csv_fields(hdump.read_text())
+        assert hrows[0] == ["t", "h11", "h12", "h22", "h_min_t", "h_norm_t"]
+        sol = build_certificate(model_from_dict(PEND), 7e-8, steps=1024).sol
+        H = sol.H
+        expected = np.column_stack([sol.times, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1],
+                                    sol.hmin_nodes, sol.hnorm_nodes])
+        assert_fields_equal(hrows[1:], expected)
+        yrows = csv_fields(ydump.read_text())
+        assert yrows[0] == ["t", "y11", "y12", "y21", "y22"]
+        lin = linearize(model_from_dict(PEND))
+        times, Y = matrizant(system_matrix_entries(lin, 7e-8), lin.period, 1024)
+        expected = np.column_stack([times, Y[:, 0, 0], Y[:, 0, 1], Y[:, 1, 0], Y[:, 1, 1]])
+        assert_fields_equal(yrows[1:], expected)
 
 
 class TestMargins:
@@ -205,6 +231,31 @@ class TestSimulate:
         assert code == 0
         out = capsys.readouterr().out
         assert "# inside_lyapunov_region=false" in out
+
+    @pytest.mark.parametrize("y0, envelope", [("1e-32", True), ("0.5", False)])
+    def test_fields_equal_library_values(self, y0, envelope, model_file, capsys):
+        argv = ["--mu", "7e-8", "--rho", "0.5", "--y0", y0, "--y1=-2e-40",
+                "--t-end", "9.5", "--steps", "1024", "--stride", "64"]
+        assert main(["simulate", "--model", model_file, *argv]) == 0
+        text = capsys.readouterr().out
+        model, mu = model_from_dict(PEND), 7e-8
+        sol = build_certificate(model, mu, rho=0.5, steps=1024).sol
+        system = nonlinear_system(model.alpha, model.beta, model.phi, shift_to_zero(model), mu)
+        traj = integrate(system, float(y0), -2e-40, 9.5, 1024, 64)
+        psi0 = sol.value_at_node(0, np.array([float(y0), -2e-40]))
+        assert f"# mu={mu!r} y0={float(y0)!r} y1={-2e-40!r} t_end={float(traj.times[-1])!r}" in text
+        assert f"# initial_lyapunov_value={psi0!r}" in text
+        assert f"# envelope_certified={str(envelope).lower()} " in text
+        rows = csv_fields(text)
+        assert rows[0] == ["t", "y", "y_prime", "lyapunov_value", "envelope", "margin"]
+        y, yp = traj.states.T
+        if envelope:
+            env = decay_envelope(sol, Perturbation.zero(), psi0, traj.times, "nonlinear")
+        else:
+            env = np.full_like(traj.times, math.nan)
+        expected = np.column_stack([traj.times, y, yp, sol.value(traj.times, traj.states),
+                                    env, env - (y * y + yp * yp)])
+        assert_fields_equal(rows[1:], expected)
 
     def test_outside_mu_range(self, model_file, capsys):
         assert main(["simulate", "--model", model_file, "--mu", "0.02",
@@ -476,7 +527,7 @@ def _payload_numbers(node):
         yield node
 
 
-@pytest.mark.parametrize("k", [14, 30, 60, 100, 140])
+@pytest.mark.parametrize("k", [14, 30, 60, 100, 140, 163, 170, 300])
 def test_tiny_mu_is_finite_or_refused_by_name(k, model_file, tmp_path, capsys):
     # h_max grows like 2/mu^3: its fourth power overflows from mu = 1e-26
     # (an OverflowError with a bare errno message), and below 1e-77 H itself
@@ -490,6 +541,42 @@ def test_tiny_mu_is_finite_or_refused_by_name(k, model_file, tmp_path, capsys):
         assert payload["attraction"]["lyapunov_radius_sq"] >= 0.0
         assert all(math.isfinite(x) for x in _payload_numbers(payload)), payload
     else:
-        assert f"mu=1e-{k}" in err, err
+        assert f"H(t, mu) overflows double precision at mu=1e-{k}" in err, err
         assert "(34," not in err and "Numerical result" not in err, err
         assert "Warning" not in err, err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command",
+    [["certify", "--mu", "1e-8"], ["sweep", "--mu-grid", "1e-8", "--beta-grid", "0.25"]],
+    ids=["certify", "sweep"],
+)
+def test_overflowing_propagation_is_exit_1(command, tmp_path, capsys):
+    # this gave exit 2 with a "nan" radius and a "nan" chart row at exit 0,
+    # each after four numpy RuntimeWarnings on stderr
+    phi = {"period": TWO_PI, "harmonics": [{"k": 1, "cos": 0.0, "sin": -1e20}]}
+    argv = [command[0], "--model", write_model(tmp_path, phi=phi), *command[1:]]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("mathieu-cert: error: the propagation overflows at mu=1e-08 "
+                   "with 4096 steps per period\n")
+
+
+@pytest.mark.parametrize("k", [1.5, "1"])
+@pytest.mark.parametrize("where", ["model", "pert"])
+def test_non_integer_harmonic_index_is_exit_1(where, k, model_file, tmp_path, capsys):
+    # k = 1.5 was read as harmonic 1, and certify exited 0 for another forcing
+    harmonics = [{"k": k, "cos": 0.0, "sin": -1.0}]
+    if where == "model":
+        argv = ["certify", "--model", write_model(tmp_path, phi={"period": TWO_PI,
+                                                                 "harmonics": harmonics})]
+    else:
+        pert = tmp_path / "pert.json"
+        pert.write_text(json.dumps({"d_phi": {"period": TWO_PI, "harmonics": harmonics}}))
+        argv = ["certify", "--model", model_file, "--pert", str(pert)]
+    assert main([*argv, "--mu", "7e-8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mathieu-cert: error: harmonic indices must be integers\n"

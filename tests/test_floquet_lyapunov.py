@@ -138,22 +138,22 @@ def z_generator_matrix_form(lin, tr, mu, pert=None):
 
 class TestMatrizant:
     def test_zero_matrix(self):
-        mz = matrizant(lambda t: np.zeros(np.shape(t) + (2, 2)), 1.0, 64)
-        np.testing.assert_array_equal(mz.monodromy, np.eye(2))
+        _, Y = matrizant(lambda t: np.zeros(np.shape(t) + (2, 2)), 1.0, 64)
+        np.testing.assert_array_equal(Y[-1], np.eye(2))
 
     def test_full_rotation(self):
-        mz = matrizant(lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), TWO_PI, 4096)
-        np.testing.assert_allclose(mz.monodromy, np.eye(2), atol=1e-8)
+        _, Y = matrizant(lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), TWO_PI, 4096)
+        np.testing.assert_allclose(Y[-1], np.eye(2), atol=1e-8)
 
     def test_decoupled_exponentials(self):
-        mz = matrizant(lambda t: np.diag([-1.0, -2.0]), 1.0, 4096)
+        _, Y = matrizant(lambda t: np.diag([-1.0, -2.0]), 1.0, 4096)
         np.testing.assert_allclose(
-            mz.monodromy, np.diag([math.exp(-1.0), math.exp(-2.0)]), atol=1e-10
+            Y[-1], np.diag([math.exp(-1.0), math.exp(-2.0)]), atol=1e-10
         )
 
     def test_accepts_array_callable(self):
-        mz = matrizant(lambda t: np.array([[-1.0, 0.0], [0.0, -2.0]]), 1.0, 512)
-        assert mz.monodromy[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+        _, Y = matrizant(lambda t: np.array([[-1.0, 0.0], [0.0, -2.0]]), 1.0, 512)
+        assert Y[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_time_dependent_callable(self):
         # Y' = diag(-2t, -1) Y has Y(t) = diag(exp(-t^2), exp(-t))
@@ -164,10 +164,10 @@ class TestMatrizant:
             out[..., 1, 1] = -1.0
             return out
 
-        mz = matrizant(A, 1.0, 512)
-        np.testing.assert_allclose(mz.Y[:, 0, 0], np.exp(-mz.times ** 2), atol=1e-10)
-        np.testing.assert_allclose(mz.Y[:, 1, 1], np.exp(-mz.times), atol=1e-10)
-        assert np.all(mz.Y[:, 0, 1] == 0.0) and np.all(mz.Y[:, 1, 0] == 0.0)
+        times, Y = matrizant(A, 1.0, 512)
+        np.testing.assert_allclose(Y[:, 0, 0], np.exp(-times ** 2), atol=1e-10)
+        np.testing.assert_allclose(Y[:, 1, 1], np.exp(-times), atol=1e-10)
+        assert np.all(Y[:, 0, 1] == 0.0) and np.all(Y[:, 1, 0] == 0.0)
 
     @pytest.mark.parametrize(
         "z_coords,mu", [(True, 1e-3), (False, 1e-3), (False, 1.0), (True, 1.0)]
@@ -203,9 +203,9 @@ class TestMatrizant:
         # det Y(t) = exp(int trace A); trace is -alpha*mu here
         lin = LinearizedSystem(alpha=0.3, beta_hat=-0.25, phi_hat=SIN, period=TWO_PI)
         mu = 0.05
-        mz = matrizant(system_matrix_entries(lin, mu), TWO_PI, 4096)
-        dets = np.linalg.det(mz.Y)
-        np.testing.assert_allclose(dets, np.exp(-0.3 * mu * mz.times), atol=1e-8)
+        times, Y = matrizant(system_matrix_entries(lin, mu), TWO_PI, 4096)
+        dets = np.linalg.det(Y)
+        np.testing.assert_allclose(dets, np.exp(-0.3 * mu * times), atol=1e-8)
 
     @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 1.0])
     def test_liouville_log_det_of_deviation(self, mu):
@@ -301,6 +301,32 @@ class TestSpectralRadius:
         assume(all(abs(q) > 1e-15 * terms for q, terms in jury))
         log_det = math.log1p(tr + det) if tr + det > -1.0 else -math.inf
         assert (_floquet_gap(z, log_det) > 0.0) == all(q > 0.0 for q, _ in jury)
+
+    @pytest.mark.parametrize("exponent", [-600, -1000])
+    def test_gap_of_a_tiny_deviation(self, exponent):
+        # Z is of order mu, and at mu = 1e-163 the products of its entries
+        # underflow: the complex pair below read as real and the real pair's
+        # gap as 0.  The gap of 2^e Z is 2^e times the gap of Z for a real
+        # pair, and the Liouville value for a complex one.
+        real = np.array([[-0.2, 0.05], [0.025, -0.3]])
+        got = _floquet_gap(np.ldexp(real, exponent), 0.0)
+        assert got == math.ldexp(_floquet_gap(real, 0.0), exponent) > 0.0
+        log_det = math.ldexp(-0.2, exponent)
+        complex_pair = np.ldexp(np.array([[-0.1, 1.0], [-1.0, -0.1]]), exponent)
+        assert _floquet_gap(complex_pair, log_det) == -math.expm1(0.5 * log_det) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_propagation_is_refused(self):
+        # b ~ 1e20 puts entries of order 1e32 into A_z at mu = 1e-8; the scan
+        # overflowed to a NaN radius, with numpy warnings on stderr
+        phi = PeriodicSignal(TWO_PI, ((1, 0.0, -1e20),))
+        lin = LinearizedSystem(alpha=0.1, beta_hat=-0.25, phi_hat=phi, period=TWO_PI)
+        tr = build_transform(lin, QuadratureGrid(TWO_PI, 2048))
+        message = "overflows at mu=1e-08 with 1024 steps per period"
+        with pytest.raises(ArithmeticError, match=message):
+            spectral_radius_linear_system(lin, tr, 1e-8, 1024)
+        with pytest.raises(ArithmeticError, match=message):
+            solve_periodic_lyapunov_scaled(lin, tr, 1e-8, 1024)
 
 
 class TestZGenerator:
@@ -495,14 +521,14 @@ class TestPeriodicLyapunov:
         mu = 0.01
         ent = system_matrix_entries(lin, mu)
         sol = solve_periodic_lyapunov(ent, TWO_PI, 4096, mu=mu)
-        mz = matrizant(ent, TWO_PI, 4096)
+        times, Y = matrizant(ent, TWO_PI, 4096)
         from scipy.integrate import cumulative_simpson
 
-        integrand = np.einsum("nji,njk->nik", mz.Y, mz.Y)
-        q = cumulative_simpson(integrand, dx=mz.step, axis=0, initial=0.0)[-1]
+        integrand = np.einsum("nji,njk->nik", Y, Y)
+        q = cumulative_simpson(integrand, dx=times[1], axis=0, initial=0.0)[-1]
         doublings = 13  # rho^(2*2^13) well under 1e-10 at this mu
         assert sol.spectral_radius ** (2 * 2 ** doublings) < 1e-10
-        oracle = truncated_lyapunov_sum(mz.monodromy, q, doublings)
+        oracle = truncated_lyapunov_sum(Y[-1], q, doublings)
         rel = np.linalg.norm(sol.H[0] - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-6
 
@@ -567,6 +593,12 @@ class TestPeriodicLyapunov:
         # NaN that a "min <= 0" positivity guard would let through
         with pytest.raises(ArithmeticError, match="overflows double precision at mu=1e-140"):
             solve_periodic_lyapunov_scaled(lin, transform, 1e-140, 4096)
+
+    def test_scaled_refuses_an_overflowing_h_where_z_products_underflow(self, lin, transform):
+        # below mu ~ 1e-162 the products of Z's entries underflow; this was
+        # refused as "spectral radius 1 is not inside the unit disk"
+        with pytest.raises(ArithmeticError, match="overflows double precision at mu=1e-170"):
+            solve_periodic_lyapunov_scaled(lin, transform, 1e-170, 4096)
 
     def test_scaled_route_matches_direct(self, lin, transform, sol_moderate_mu):
         mu = 0.01

@@ -48,6 +48,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PeriodicSignal(TWO_PI, ((0, 1.0, 0.0),))
 
+    @pytest.mark.parametrize("k", [1.5, "1", math.inf, math.nan, None])
+    def test_non_integer_index_rejected(self, k):
+        with pytest.raises(ValueError, match="harmonic indices must be integers"):
+            PeriodicSignal(TWO_PI, ((k, 1.0, 0.0),))
+
+    def test_integer_valued_index_accepted(self):
+        s = PeriodicSignal(TWO_PI, ((2.0, 1.0, 0.0), (np.int64(3), 0.0, 1.0)))
+        assert s.harmonics == ((2, 1.0, 0.0), (3, 0.0, 1.0))
+        assert all(type(k) is int for k, _, _ in s.harmonics)
+
     def test_duplicate_harmonics(self):
         with pytest.raises(ValueError):
             PeriodicSignal(TWO_PI, ((1, 1.0, 0.0), (1, 0.0, 1.0)))

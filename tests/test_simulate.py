@@ -12,7 +12,6 @@ from mathieu_cert.simulate import (
     integrate,
     integrate_batch,
     linear_system,
-    lyapunov_value,
     nonlinear_system,
     verify_envelope,
 )
@@ -73,12 +72,12 @@ class TestRk4:
 class TestAgainstMatrizant:
     def test_monodromy_columns(self, lin):
         mu = 0.05
-        mz = matrizant(system_matrix_entries(lin, mu), TWO_PI, 4096)
+        _, Y = matrizant(system_matrix_entries(lin, mu), TWO_PI, 4096)
         system = linear_system(lin, mu)
         e1 = integrate(system, 1.0, 0.0, TWO_PI, 4096, record_stride=4096)
         e2 = integrate(system, 0.0, 1.0, TWO_PI, 4096, record_stride=4096)
-        np.testing.assert_allclose(e1.states[-1], mz.monodromy[:, 0], atol=1e-8)
-        np.testing.assert_allclose(e2.states[-1], mz.monodromy[:, 1], atol=1e-8)
+        np.testing.assert_allclose(e1.states[-1], Y[-1, :, 0], atol=1e-8)
+        np.testing.assert_allclose(e2.states[-1], Y[-1, :, 1], atol=1e-8)
 
     def test_perturbed_columns_mid_period(self, lin):
         # 2.5 periods: the coefficient table wraps twice and the run ends
@@ -100,7 +99,7 @@ class TestAgainstMatrizant:
             return out
 
         t_end = 2.5 * TWO_PI
-        Y = matrizant(A, t_end, 10240).Y[-1]
+        Y = matrizant(A, t_end, 10240)[1][-1]
         system = linear_system(lin, mu, pert)
         for col, (y0, y1) in enumerate(np.eye(2)):
             traj = integrate(system, y0, y1, t_end, 4096, record_stride=4096)
@@ -378,7 +377,7 @@ class TestLyapunovValue:
         sol = constant_sol(0.5)
         system = linear_system(lin, 0.01)
         traj = integrate(system, 0.0, 0.0, TWO_PI, 512, record_stride=64)
-        assert lyapunov_value(sol, traj, 3) == 0.0
+        assert sol.value(traj.times[3], traj.states[3]) == 0.0
 
     def test_constant_half_identity(self):
         sol = constant_sol(0.5)
@@ -388,20 +387,14 @@ class TestLyapunovValue:
         traj = Trajectory(
             times=np.array([0.0]), states=traj_states, mu=0.01, system_tag="linear"
         )
-        assert lyapunov_value(sol, traj, 0) == pytest.approx(2.0, rel=1e-15)
+        assert sol.value(traj.times[0], traj.states[0]) == pytest.approx(2.0, rel=1e-15)
 
     def test_decreases_along_stable_flow(self, lin, sol_moderate_mu):
         system = linear_system(lin, 0.01)
         traj = integrate(system, 1.0, 0.0, 40 * TWO_PI, 1024, record_stride=1024)
-        first = lyapunov_value(sol_moderate_mu, traj, 0)
-        last = lyapunov_value(sol_moderate_mu, traj, len(traj.times) - 1)
+        first = sol_moderate_mu.value(traj.times[0], traj.states[0])
+        last = sol_moderate_mu.value(traj.times[-1], traj.states[-1])
         assert last < first
-
-    def test_index_guard(self, lin):
-        sol = constant_sol(0.5)
-        traj = integrate(linear_system(lin, 0.01), 1.0, 0.0, TWO_PI, 512, record_stride=64)
-        with pytest.raises(IndexError):
-            lyapunov_value(sol, traj, 10_000)
 
 
 class TestVerifyEnvelope:
