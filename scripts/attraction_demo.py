@@ -75,14 +75,14 @@ def main() -> None:
     system = nonlinear_system(model.alpha, model.beta, model.phi, g, mu)
     trajs = integrate_batch(system, inits, args.periods * TWO_PI, 2048, record_stride=64)
 
+    # the members share their times, and only the prefactor depends on psi0
+    unit = decay_envelope(sol, Perturbation.zero(), 1.0, trajs[0].times, "nonlinear")
     worst_ratio = 0.0
     worst_decay = 0.0
     all_pass = True
     for traj in trajs:
         psi0 = sol.value_at_node(0, traj.states[0])
-        report = verify_envelope(
-            traj, lambda t: decay_envelope(sol, Perturbation.zero(), psi0, t, "nonlinear")
-        )
+        report = verify_envelope(traj, lambda t: psi0 * unit)
         all_pass = all_pass and report.passed
         worst_ratio = max(worst_ratio, report.max_ratio)
         worst_decay = max(

@@ -17,7 +17,6 @@ integrator error enters the certificate constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +25,7 @@ from .model import LinearizedSystem, matrices_2x2
 from .periodic_signal import (
     PeriodicSignal,
     QuadratureGrid,
+    _extrema,
     eval_together,
     half_step_grid,
     zero_mean_antiderivative,
@@ -58,11 +58,6 @@ class AveragingTransform:
     phi_hat: PeriodicSignal
     grid: QuadratureGrid
     _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def a_min(self) -> float:
-        """min of a(t) over ``grid.samples``, the points where the transform is checked."""
-        return float(np.min(self.a.eval(self.grid.samples)))
 
     def half_step_samples(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         """(b, phi_hat) on ``half_step_grid(T, n_steps)``, read-only.
@@ -100,6 +95,8 @@ def mean_phi_a(lin: LinearizedSystem, tr: AveragingTransform) -> float:
 
 def build_u1(lin: LinearizedSystem, tr: AveragingTransform) -> np.ndarray:
     m = mean_phi_a(lin, tr)
+    if not np.isfinite(lin.beta_hat + m):
+        raise ArithmeticError(f"averaged constants overflow: mean(phi_hat a) = {m} in U1")
     return np.array([[0.0, 1.0], [-lin.beta_hat - m, -lin.alpha]])
 
 
@@ -176,16 +173,14 @@ class TransformedSystem:
 def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> TransformedSystem:
     """Assemble the transformed system at parameter mu.
 
-    Fails when 1 + mu*a(t) is not positive on the grid, because the change
+    Fails when 1 + mu*a(t) is not positive for some t, because the change
     of variables degenerates there (this cannot happen for
-    mu <= 1/(phi_max*T^2)).
+    mu <= 1/(phi_max*T^2)).  min(a) comes from the critical points of a.
     """
     if not mu > 0.0:
         raise ValueError("mu must be positive")
-    if 1.0 + mu * tr.a_min <= 0.0:  # = min(1 + mu*a): rounding is monotone
-        raise ValueError(
-            f"transform degenerates: 1 + mu*a(t) <= 0 on the grid at mu={mu}"
-        )
+    if 1.0 + mu * _extrema(tr.a.harmonics)[0] <= 0.0:  # = min(1 + mu*a): rounding is monotone
+        raise ValueError(f"transform degenerates: 1 + mu*a(t) <= 0 at mu={mu}")
     return TransformedSystem(
         u1=build_u1(lin, tr),
         mean_phi_a=mean_phi_a(lin, tr),

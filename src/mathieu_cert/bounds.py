@@ -76,7 +76,7 @@ def compute_bound_chain(
     chain presumes a genuine oscillatory forcing).
     """
     T = lin.period
-    phi_max = sup_norm(lin.phi_hat, tr.grid)
+    phi_max = sup_norm(lin.phi_hat)
     a_const = max(lin.alpha, abs(lin.beta_hat))
     a_signed = max(lin.alpha, lin.beta_hat)
     capped = phi_max == 0.0

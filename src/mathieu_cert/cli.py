@@ -107,8 +107,7 @@ def _averaged_range(
     if not bog.holds:
         return tr, bog, None
     u1 = build_u1(lin, tr)
-    h1 = solve_constant_lyapunov(u1)
-    return tr, bog, compute_bound_chain(lin, tr, u1, h1)
+    return tr, bog, compute_bound_chain(lin, tr, u1, solve_constant_lyapunov(u1))
 
 
 def build_certificate(
@@ -157,12 +156,12 @@ def build_certificate(
         "linear": _budget_dict(b_lin),
         "nonlinear": _budget_dict(b_nonlin),
     }
-    budgets_hold = pert is None or b_nonlin.is_admissible(pert, grid)
+    budgets_hold = pert is None or b_nonlin.is_admissible(pert)
     if pert is not None:
         payload["budgets"]["perturbation"] = {
-            "admissible_linear": b_lin.is_admissible(pert, grid),
+            "admissible_linear": b_lin.is_admissible(pert),
             "admissible_nonlinear": budgets_hold,
-            "mu_sup_d_phi_hat": mu * pert.sup_d_phi_hat(grid),
+            "mu_sup_d_phi_hat": mu * pert.sup_d_phi_hat,
             "mu_coeff_combo": mu * (abs(pert.d_beta_hat) * mu + abs(pert.d_alpha)),
         }
 
@@ -475,7 +474,7 @@ def _add_common(
     p.add_argument("--model", required=True, help="model or pendulum-parameter JSON file")
     if need_mu:
         p.add_argument("--mu", type=float, default=None, help="small parameter value")
-    p.add_argument("--grid", type=int, default=2048, help="quadrature panels per period")
+    p.add_argument("--grid", type=int, default=2048, help="--dump-transform panels per period")
     p.add_argument("--steps", type=int, default=4096, help="integrator steps per period")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=formats, default=formats[0])

@@ -416,9 +416,9 @@ def _periodic_solution(times, Z, log_det, C, b, z_scale, mu) -> PeriodicLyapunov
             f"monodromy spectral radius {1.0 - gap:.12g} is not inside the unit disk "
             f"at mu={mu}"
         )
-    hz11, hz12, hz22 = _tail_integral_solve(Z, C, times[1] - times[0])
     s = z_scale
     with np.errstate(all="ignore"):  # an overflow is refused just below
+        hz11, hz12, hz22 = _tail_integral_solve(Z, C, times[1] - times[0])
         h11 = hz11 - 2.0 * b * hz12 + b ** 2 * hz22
         h12 = (hz12 - b * hz22) / s
         h22 = hz22 / s ** 2
@@ -506,6 +506,9 @@ def solve_periodic_lyapunov_scaled(
     precision (below mu = 1e-77 for the pendulum) ArithmeticError is raised.
     """
     times, Z = _z_deviation(lin, tr, mu, n_steps)
+    sup_a21 = mu * (mu * -lin.beta_hat + math.fsum(math.hypot(c, s) for _, c, s in lin.phi_hat.harmonics))
+    if sup_a21 < 2.0 ** -1026:  # h_max >= 1/(2 sup|A_21|) by mean(H' + HA + A^T H)_11 = -1
+        raise ArithmeticError(f"H(t, mu) overflows double precision at mu={mu}")
     b = tr.half_step_samples(n_steps)[0][::2]  # the step nodes, bit for bit
     Cz = (1.0 + (mu * b) ** 2, mu * mu * b, mu * mu)
     return _periodic_solution(times, Z, -lin.alpha * mu * lin.period, Cz, b, mu, mu)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,10 +101,9 @@ class Perturbation:
     def d_phi_hat_eval(self, t):
         return self.scaling * self.d_phi_eval(t)
 
-    def sup_d_phi_hat(self, grid: QuadratureGrid) -> float:
-        if self.d_phi is None:
-            return abs(self.scaling * self.d_phi_offset)
-        return sup_norm(self.d_phi_hat_eval, grid)
+    @cached_property
+    def sup_d_phi_hat(self) -> float:
+        return abs(self.scaling) * sup_norm(self.d_phi, offset=self.d_phi_offset)
 
     @property
     def is_zero(self) -> bool:
@@ -143,8 +143,8 @@ class RobustnessBudget:
     level: str  # "linear" (1/4) or "nonlinear" (1/8)
     h_max: float
 
-    def is_admissible(self, pert: Perturbation, grid: QuadratureGrid) -> bool:
-        lhs_phi = self.mu * pert.sup_d_phi_hat(grid)
+    def is_admissible(self, pert: Perturbation) -> bool:
+        lhs_phi = self.mu * pert.sup_d_phi_hat
         lhs_coeff = self.mu * (abs(pert.d_beta_hat) * self.mu + abs(pert.d_alpha))
         return lhs_phi < self.budget_phi_sup and lhs_coeff < self.budget_coeff
 
@@ -186,15 +186,13 @@ def q_of_mu(
 ) -> float:
     """Nonlinearity strength  q(mu) = sup_t (|beta+d_beta| mu^2 + |phi+d_phi| mu) p.
 
-    The supremum is ``sup_norm`` over one period, valid because perturbations
-    are T-periodic; it can still fall 7e-12 relative below the true sup.
+    The supremum is exact; ``grid`` is unused and kept for existing callers.
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
-    beta = abs(model.beta + (pert.d_beta if pert is not None else 0.0))
-    phi = model.phi.eval if pert is None else (lambda t: model.phi.eval(t) + pert.d_phi_eval(t))
-    sup_phi = sup_norm(phi, grid)
-    return (beta * mu * mu + sup_phi * mu) * p
+    pert = pert or Perturbation.zero()
+    sup_phi = sup_norm(model.phi, pert.d_phi, offset=pert.d_phi_offset)
+    return (abs(model.beta + pert.d_beta) * mu * mu + sup_phi * mu) * p
 
 
 def q_tilde(q_mu: float, h_max: float) -> float:

@@ -3,6 +3,7 @@
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 
 from mathieu_cert.averaging import AveragingTransform
@@ -116,3 +117,22 @@ def batch_rk4_separate_arrays(system, inits, t_end, steps_per_period, stride):
             if i % stride == 0 or i == n_total:
                 rec.append((y, v))
     return np.array(rec_idx, dtype=float) * h, np.array(rec).transpose(0, 2, 1), frozen
+
+
+def polished_extrema(harmonics, offset=0.0, n=1 << 14):
+    """(min, max) over x of offset + sum c cos(k x) + s sin(k x), from dense
+    samples whose every local extremum is polished as a root of the
+    derivative in 40-digit mpmath, on the same float coefficients."""
+    x = np.arange(n) * (2.0 * math.pi / n)
+    v = offset + sum(c * np.cos(k * x) + s * np.sin(k * x) for k, c, s in harmonics)
+    turns = np.flatnonzero((v - np.roll(v, 1)) * (np.roll(v, -1) - v) <= 0.0)
+    with mpmath.workdps(40):
+        def f(t):
+            return offset + sum(c * mpmath.cos(k * t) + s * mpmath.sin(k * t)
+                                for k, c, s in harmonics)
+
+        def df(t):
+            return sum(k * (s * mpmath.cos(k * t) - c * mpmath.sin(k * t)) for k, c, s in harmonics)
+
+        vals = [f(mpmath.findroot(df, mpmath.mpf(x[i]))) for i in turns]
+        return float(min(vals)), float(max(vals))

@@ -206,7 +206,7 @@ def test_criterion_4_decay_envelope_dominates_linear_flow(lin, transform, chain,
     assert elapsed < 10.0
 
 
-def test_criterion_5_linear_robustness_budgets(pendulum_model, lin, transform, sol_small_mu, grid):
+def test_criterion_5_linear_robustness_budgets(pendulum_model, lin, transform, sol_small_mu):
     t0 = time.perf_counter()
     sol = sol_small_mu
     budget = linear_budget(sol)
@@ -216,7 +216,7 @@ def test_criterion_5_linear_robustness_budgets(pendulum_model, lin, transform, s
         for frac in (0.5, 0.99)
         for _ in range(10)
     ]
-    oks_admissible = [budget.is_admissible(p, grid) for p in perts]
+    oks_admissible = [budget.is_admissible(p) for p in perts]
     radii = [
         spectral_radius_linear_system(lin, transform, sol.mu, 2048, p) for p in perts
     ]

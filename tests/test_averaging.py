@@ -17,7 +17,7 @@ from mathieu_cert.model import LinearizedSystem
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid, eval_together, integrate
 
 from conftest import TWO_PI, signal_strategy
-from oracles import s_matrix
+from oracles import polished_extrema, s_matrix
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 GRID = QuadratureGrid(TWO_PI, 2048)
@@ -85,11 +85,15 @@ class TestHalfStepSamples:
             eval_together((self.PHI, other), np.zeros(3))
 
     def test_degeneracy_check_reads_a_min(self):
-        # rounding is monotone, so 1 + mu*min(a) is min(1 + mu*a) bit for bit
-        tr = build_transform(make_lin(self.PHI), GRID)
-        a = tr.a.eval(GRID.samples)
-        for mu in (1e-9, 0.37, 1.0 / 3.0, 2.9, 1e3):
-            assert 1.0 + mu * tr.a_min == np.min(1.0 + mu * a)
+        # the transform degenerates from mu = -1/min(a) on, min(a) polished
+        # from the critical points of a; the check meets that threshold to
+        # 2 eps, where the min over 2n samples of the --grid fell 1e-7 short
+        lin = make_lin(self.PHI)
+        tr = build_transform(lin, GRID)
+        mu_star = -1.0 / polished_extrema(tr.a.harmonics)[0]
+        build_u2_u3(lin, tr, mu_star * (1.0 - 2.0 ** -51))
+        with pytest.raises(ValueError, match="transform degenerates"):
+            build_u2_u3(lin, tr, mu_star * (1.0 + 2.0 ** -51))
 
 
 class TestU1:

@@ -580,3 +580,59 @@ def test_non_integer_harmonic_index_is_exit_1(where, k, model_file, tmp_path, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "mathieu-cert: error: harmonic indices must be integers\n"
+
+
+def test_grid_moves_no_certificate_value(tmp_path, capsys):
+    # phi_max, q(mu), sup|d_phi_hat| and min(a) come from the critical points
+    # of their series, so --grid reaches only its own echo (and the
+    # --dump-transform nodes); the sampled sups moved with it
+    phi = {"period": TWO_PI, "harmonics": [{"k": 1, "cos": 0.3, "sin": -0.8},
+                                           {"k": 2, "cos": 0.5, "sin": 0.2}]}
+    pert = tmp_path / "pert.json"
+    pert.write_text(json.dumps({"d_beta": 1e-22, "d_phi": {
+        "harmonics": [{"k": 3, "cos": 1e-23, "sin": 2e-23}], "offset": 1e-23}}))
+    argv = ["certify", "--model", write_model(tmp_path, phi=phi), "--mu", "1e-9",
+            "--pert", str(pert)]
+    payloads = []
+    for grid in (16, 2048):
+        assert main([*argv, "--grid", str(grid)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["grid"].pop("quadrature_n") == grid
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["budgets"]["perturbation"]["admissible_nonlinear"] is True
+
+
+def test_zero_coefficient_perturbation(model_file, tmp_path, capsys):
+    pert = tmp_path / "pert.json"
+    pert.write_text(json.dumps({"d_phi": {"harmonics": [{"k": 1}]}}))
+    assert main(["certify", "--model", model_file, "--mu", "7e-8", "--pert", str(pert)]) == 0
+    assert json.loads(capsys.readouterr().out)["budgets"]["perturbation"]["mu_sup_d_phi_hat"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command",
+    [["certify", "--mu", "1e-8"], ["sweep", "--mu-grid", "1e-8", "--beta-grid", "0.25"]],
+    ids=["certify", "sweep"],
+)
+def test_overflowing_averaged_constants_are_exit_1(command, tmp_path, capsys):
+    # this exited 1 with the bare "(34, 'Numerical result out of range')" of
+    # phi_max ** 2, after a RuntimeWarning from the Lyapunov solve of an inf U1
+    phi = {"period": TWO_PI, "harmonics": [{"k": 1, "cos": 0.0, "sin": -1e200}]}
+    argv = [command[0], "--model", write_model(tmp_path, phi=phi), *command[1:]]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mathieu-cert: error: averaged constants overflow: mean(phi_hat a) = inf in U1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", ["1e-320", "5e-324"])
+def test_subnormal_mu_is_refused_by_name(mu, model_file, capsys):
+    # these exited 1 with numpy's "Singular matrix" and with "monodromy
+    # spectral radius 1 is not inside the unit disk", as the solve rounded mu away
+    assert main(["certify", "--model", model_file, "--mu", mu]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"mathieu-cert: error: H(t, mu) overflows double precision at mu={float(mu)}\n"

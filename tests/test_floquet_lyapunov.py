@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
+from scipy.optimize import brentq
+from scipy.special import mathieu_a, mathieu_b
 
 from mathieu_cert.floquet_lyapunov import (
     PeriodicLyapunovSolution,
@@ -767,3 +769,58 @@ class TestKreinEnvelope:
             y0sq = float(traj.states[0] @ traj.states[0])
             report = verify_envelope(traj, lambda t: krein_envelope(sol_moderate_mu, y0sq, t))
             assert report.passed, report
+
+
+class TestClassicalMathieu:
+    """The radius against Mathieu characteristic values (scipy.special).
+
+    For phi_hat = c sin(t + theta), y = exp(-alpha mu t/2) w and t = 2x + const
+    turn the linearization into w'' + (a - 2q cos 2x) w = 0 with
+    a = 4 beta_hat mu^2 - alpha^2 mu^2 and |q| = 2 mu |c| (NIST DLMF 28.2).
+    Between a_0(|q|) and b_1(|q|) the undamped multipliers lie on the unit
+    circle, so the radius is exp(-alpha mu pi); real multipliers set in where
+    a = b_1(|q|).  The onset matched the b_1 root to 1.6e-15 relative when
+    measured.  Dropping alpha b from A_z moves the onset; dropping b^2 fails
+    both tests.
+    """
+
+    C, THETA = 1.0, 0.3
+
+    def _system(self, alpha, beta_hat):
+        c, theta = self.C, self.THETA  # c sin(t + theta) = c sin(theta) cos t + c cos(theta) sin t
+        phi = PeriodicSignal(TWO_PI, ((1, c * math.sin(theta), c * math.cos(theta)),))
+        lin = LinearizedSystem(alpha=alpha, beta_hat=beta_hat, phi_hat=phi, period=TWO_PI)
+        return lin, build_transform(lin, QuadratureGrid(TWO_PI, 2048))
+
+    def _b1_root(self, alpha, beta_hat):
+        def a_minus_b1(mu):
+            return (4.0 * beta_hat - alpha ** 2) * mu * mu - mathieu_b(1, 2.0 * mu * abs(self.C))
+
+        return brentq(a_minus_b1, 1e-3, 2.0, xtol=1e-300, rtol=8.9e-16)
+
+    @staticmethod
+    def _excess(lin, tr, mu):
+        rho = spectral_radius_linear_system(lin, tr, mu, 8192)
+        return rho / math.exp(-lin.alpha * mu * math.pi) - 1.0
+
+    @pytest.mark.parametrize("alpha, beta_hat", [(0.1, -0.25), (0.1, -0.1), (0.01, -0.25)])
+    def test_onset_of_real_multipliers_is_the_b1_root(self, alpha, beta_hat):
+        lin, tr = self._system(alpha, beta_hat)
+        ref = self._b1_root(alpha, beta_hat)
+        lo, hi = 0.9 * ref, 1.1 * ref
+        assert self._excess(lin, tr, lo) <= 1e-12 < self._excess(lin, tr, hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if self._excess(lin, tr, mid) > 1e-12:
+                hi = mid
+            else:
+                lo = mid
+        assert abs(hi - ref) <= 2.5e-15 * ref, (hi, ref)
+
+    @pytest.mark.parametrize("alpha, beta_hat", [(0.1, -0.25), (0.1, -0.1), (0.01, -0.25)])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 0.99])
+    def test_radius_inside_the_region_is_the_damping(self, alpha, beta_hat, frac):
+        lin, tr = self._system(alpha, beta_hat)
+        mu = frac * self._b1_root(alpha, beta_hat)
+        q = 2.0 * mu * abs(self.C)
+        assert mathieu_a(0, q) < (4.0 * beta_hat - alpha ** 2) * mu * mu < mathieu_b(1, q)
+        assert abs(self._excess(lin, tr, mu)) <= 2.0 ** -52
