@@ -134,7 +134,10 @@ def bogolyubov_condition(lin: LinearizedSystem, grid: QuadratureGrid) -> Bogolyu
     """
     B = zero_mean_antiderivative(lin.phi_hat)
     b0 = B.eval(0.0)
-    m = B.mean_square
+    try:
+        m = B.mean_square
+    except OverflowError:  # fsum refuses a partial sum past the double range
+        raise ArithmeticError("averaged constants overflow: mean(phi_hat a) in the averaged test") from None
     return BogolyubovResult(bool(lin.beta_hat + m > 0.0), m + b0 * b0, b0 * b0 - lin.beta_hat)
 
 

@@ -28,7 +28,6 @@ from .periodic_signal import cumulative_simpson, sup_norm
 __all__ = [
     "BoundChain",
     "compute_bound_chain",
-    "u2_cumulative_nodes",
     "h2_nodes",
     "c_matrix_nodes",
     "eq19_sup",
@@ -77,6 +76,8 @@ def compute_bound_chain(
     """
     T = lin.period
     phi_max = sup_norm(lin.phi_hat)
+    if phi_max * phi_max == math.inf:  # L2 takes phi_max ** 2
+        raise ArithmeticError(f"bound chain overflows: phi_max^2 at phi_max = {phi_max}")
     a_const = max(lin.alpha, abs(lin.beta_hat))
     a_signed = max(lin.alpha, lin.beta_hat)
     capped = phi_max == 0.0
@@ -110,17 +111,10 @@ def compute_bound_chain(
     )
 
 
-def u2_cumulative_nodes(ts: TransformedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, int_0^t U2(s,mu) ds at the nodes) on the transform grid."""
-    nodes = ts.tr.grid.nodes
-    u2 = ts.u2_at(nodes)
-    iu2 = cumulative_simpson(u2, ts.tr.grid.step)
-    return nodes, iu2
-
-
 def h2_nodes(ts: TransformedSystem, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H2(t,mu) = H1 int_0^t U2 + (int_0^t U2)^T H1 at the grid nodes."""
-    nodes, iu2 = u2_cumulative_nodes(ts)
+    nodes = ts.tr.grid.nodes
+    iu2 = cumulative_simpson(ts.u2_at(nodes), ts.tr.grid.step)
     h2 = h1 @ iu2 + np.transpose(iu2, (0, 2, 1)) @ h1
     return nodes, h2
 

@@ -136,3 +136,47 @@ def polished_extrema(harmonics, offset=0.0, n=1 << 14):
 
         vals = [f(mpmath.findroot(df, mpmath.mpf(x[i]))) for i in turns]
         return float(min(vals)), float(max(vals))
+
+
+def stein_solution_mp(Z: np.ndarray, Q: np.ndarray, dps: int = 50) -> list:
+    """Entries (x11, x12, x22) of the symmetric X with
+    Z^T X + X Z + Z^T X Z = -Q, the discrete Lyapunov equation
+    X = M^T X M + Q at M = I + Z, solved as a 3x3 linear system in
+    ``dps``-digit mpmath from the same float Z and Q."""
+    with mpmath.workdps(dps):
+        z, q = mpmath.matrix(Z.tolist()), mpmath.matrix(Q.tolist())
+        cols = []
+        for e in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]):
+            e = mpmath.matrix(e)
+            m = z.T * e + e * z + z.T * e * z
+            cols.append((m[0, 0], m[0, 1], m[1, 1]))
+        a = mpmath.matrix([[col[i] for col in cols] for i in range(3)])
+        x = mpmath.lu_solve(a, mpmath.matrix([-q[0, 0], -q[0, 1], -q[1, 1]]))
+        return [x[0], x[1], x[2]]
+
+
+def hill_exponents(lin, mu: float, n: int) -> np.ndarray:
+    """Floquet exponents of y'' + alpha mu y' + (beta_hat mu^2 + mu phi_hat) y = 0
+    in the strip |Im s| <= w/2, by Hill's method.
+
+    With A(t) = sum_k A_k exp(i k w t) the exponents are the eigenvalues of
+    L_jm = A_(j-m) - i j w delta_jm for |j|, |m| <= n, truncated, with the
+    inaccurate ones at the edge of the block spectrum far outside the strip
+    (G. W. Hill, Acta Math. 8 (1886) 1-36; Deconinck & Kutz, J. Comput.
+    Phys. 219 (2006) 296-321).  A is taken in the original coordinates
+    v = (y, y'), so that nothing of the code's A_z enters.
+    """
+    w = 2.0 * math.pi / lin.period
+    blocks = {0: np.array([[0.0, 1.0], [-lin.beta_hat * mu * mu, -lin.alpha * mu]], dtype=complex)}
+    for k, c, s in lin.phi_hat.harmonics:  # c cos + s sin = (c - i s)/2 e^{ikwt} + (c + i s)/2 e^{-ikwt}
+        blocks[k] = np.array([[0.0, 0.0], [-mu * (c - 1j * s) / 2.0, 0.0]])
+        blocks[-k] = np.array([[0.0, 0.0], [-mu * (c + 1j * s) / 2.0, 0.0]])
+    size = 2 * n + 1
+    L = np.zeros((2 * size, 2 * size), dtype=complex)
+    for i in range(size):
+        for j in range(size):
+            if i - j in blocks:
+                L[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blocks[i - j]
+        L[2 * i:2 * i + 2, 2 * i:2 * i + 2] -= 1j * (i - n) * w * np.eye(2)
+    s = np.linalg.eigvals(L)
+    return s[np.abs(s.imag) <= 0.5 * w * (1.0 + 1e-9)]

@@ -628,6 +628,36 @@ def test_overflowing_averaged_constants_are_exit_1(command, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command",
+    [["certify", "--mu", "1e-8"], ["sweep", "--mu-grid", "1e-8", "--beta-grid", "0.25"]],
+    ids=["certify", "sweep"],
+)
+@pytest.mark.parametrize(
+    "period, harmonics, message",
+    [
+        # a finite U1 whose phi_max ** 2 overflowed to the bare errno 34,
+        # after a RuntimeWarning from the norm of U1
+        (TWO_PI * 1e-7, [{"k": 1, "cos": 0.0, "sin": 1e160}],
+         "bound chain overflows: phi_max^2 at phi_max = 1e+160"),
+        # mean(B^2) is finite but fsum's partial sum of squares overflowed,
+        # as the bare "intermediate overflow in fsum"
+        (TWO_PI, [{"k": 1, "cos": 0.0, "sin": 1.2e154}, {"k": 2, "cos": 1.2e154, "sin": 0.0}],
+         "averaged constants overflow: mean(phi_hat a) in the averaged test"),
+    ],
+    ids=["phi_max", "mean_square"],
+)
+def test_overflowing_chain_is_refused_by_name(period, harmonics, message, command, tmp_path,
+                                              capsys):
+    phi = {"period": period, "harmonics": harmonics}
+    argv = [command[0], "--model", write_model(tmp_path, phi=phi), *command[1:]]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"mathieu-cert: error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mu", ["1e-320", "5e-324"])
 def test_subnormal_mu_is_refused_by_name(mu, model_file, capsys):
     # these exited 1 with numpy's "Singular matrix" and with "monodromy

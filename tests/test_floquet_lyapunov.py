@@ -8,6 +8,7 @@ from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 from scipy.optimize import brentq
 from scipy.special import mathieu_a, mathieu_b
 
+from mathieu_cert import floquet_lyapunov
 from mathieu_cert.floquet_lyapunov import (
     PeriodicLyapunovSolution,
     UnstableSystemError,
@@ -38,7 +39,7 @@ from mathieu_cert.robustness import Perturbation
 from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
 
 from conftest import TWO_PI
-from oracles import truncated_lyapunov_sum
+from oracles import hill_exponents, stein_solution_mp, truncated_lyapunov_sum
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 # zero or within six decades of the scale, so that no product underflows;
@@ -488,6 +489,42 @@ class TestDiscreteLyapunov:
         )
         np.testing.assert_allclose(truncated_lyapunov_sum(m, q, 3), direct, rtol=1e-13)
 
+    # normal draws (Python random, seed 7) rounded to two decimals; at these
+    # mu their scaled solves pose Stein steps that refinement in double
+    # instead of longdouble solves up to 3.3e-15 off
+    STEIN_FORCINGS = [
+        ((1, 0.95, -0.32), (2, 1.77, 0.55), (3, 1.1, 0.74)),
+        ((1, 1.2, 0.47), (2, 1.34, -0.46), (3, -0.31, -0.18), (4, -0.27, -0.16)),
+        ((1, -1.16, -0.55),),
+    ]
+
+    def test_against_a_50_digit_solve(self, lin, transform, chain, monkeypatch):
+        # on the (Z, Q) pairs that scaled solves pose, the extended-precision
+        # refinement lands within 9.5e-17 of the largest entry of the 50-digit
+        # solution (measured); refining in double reached 3.3e-15 on them and
+        # passed the bound on three random pairs, and no refinement 5.0e-15
+        pairs = []
+
+        def record(Z, Q):
+            pairs.append((np.array(Z), np.array(Q)))
+            return _solve_discrete_lyapunov_deviation(Z, Q)
+
+        monkeypatch.setattr(floquet_lyapunov, "_solve_discrete_lyapunov_deviation", record)
+        for mu in (chain.mu0 / 2.0, chain.mu0):
+            solve_periodic_lyapunov_scaled(lin, transform, mu, 4096)
+        for harmonics in self.STEIN_FORCINGS:
+            rlin = LinearizedSystem(0.1, -0.25, PeriodicSignal(TWO_PI, harmonics), TWO_PI)
+            rtr = build_transform(rlin, QuadratureGrid(TWO_PI, 2048))
+            for mu in (0.05, 0.3):
+                solve_periodic_lyapunov_scaled(rlin, rtr, mu, 4096)
+        assert len(pairs) == 8
+        for Z, Q in pairs:
+            x = _solve_discrete_lyapunov_deviation(Z, Q)
+            ref = stein_solution_mp(Z, Q)
+            scale = max(abs(r) for r in ref)
+            err = max(abs(float(a) - r) for a, r in zip((x[0, 0], x[0, 1], x[1, 1]), ref))
+            assert err <= 2.5e-16 * scale, (err / scale, Z, Q)
+
 
 class TestPeriodicLyapunov:
     def test_constant_contraction(self):
@@ -824,3 +861,69 @@ class TestClassicalMathieu:
         q = 2.0 * mu * abs(self.C)
         assert mathieu_a(0, q) < (4.0 * beta_hat - alpha ** 2) * mu * mu < mathieu_b(1, q)
         assert abs(self._excess(lin, tr, mu)) <= 2.0 ** -52
+
+
+def _bisect(past, lo, hi):
+    """The smallest float in (lo, hi] at which the monotone predicate ``past`` holds."""
+    assert not past(lo) and past(hi), (lo, hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestHillOracle:
+    """The radius for several harmonics against Hill's method (tests/oracles.py).
+
+    Random forcings of 2-4 harmonics (numpy default_rng(1) normal draws,
+    rounded to two decimals), alpha = 0.1 and beta_hat = -0.25.  Below the
+    onset the two exponents of the strip are a pair with real part
+    -alpha mu/2, which only repeats Liouville's formula; past it they split
+    into a real pair, which tests the propagation.  Dropping alpha b or b^2
+    from A_z fails both tests.
+    """
+
+    FORCINGS = [  # (harmonics, onset to three digits)
+        (((1, 0.35, 0.82), (2, 0.33, -1.3)), 0.661),
+        (((1, 0.91, 0.45), (2, -0.54, 0.58), (3, 0.36, 0.29)), 0.496),
+        (((1, 0.03, 0.55), (2, -0.74, -0.16), (3, -0.48, 0.6), (4, 0.04, -0.29)), 1.195),
+    ]
+
+    @staticmethod
+    def _system(harmonics):
+        lin = LinearizedSystem(0.1, -0.25, PeriodicSignal(TWO_PI, harmonics), TWO_PI)
+        return lin, build_transform(lin, QuadratureGrid(TWO_PI, 2048))
+
+    @pytest.mark.parametrize("harmonics, onset", FORCINGS)
+    def test_onset_matches_the_hill_split(self, harmonics, onset):
+        # the code's onset is where its radius passes exp(-alpha mu pi) by
+        # 1e-12, Hill's where the real parts of the strip's exponents split by
+        # more than 1e-7: a split of 1e-9 is below the eigenvalue noise of the
+        # coalescing pair, and fired up to 2.6e-10 early on the four-harmonic
+        # forcing (Im s = 0) as n grew.  Measured at n = 16 to 5.5e-14
+        # relative from these brackets, and to 3.0e-13 from brackets of +-1e-3.
+        lin, tr = self._system(harmonics)
+        code = _bisect(lambda mu: TestClassicalMathieu._excess(lin, tr, mu) > 1e-12,
+                       0.99 * onset, 1.01 * onset)
+
+        def split(mu):
+            re = hill_exponents(lin, mu, 16).real
+            return re.max() - re.min() > 1e-7
+
+        hill = _bisect(split, 0.99 * onset, 1.01 * onset)
+        assert abs(code - hill) <= 5e-13 * hill, (code, hill)
+
+    @pytest.mark.parametrize("frac", [1.05, 1.3])
+    @pytest.mark.parametrize("harmonics, onset", FORCINGS)
+    def test_radius_past_the_onset_matches_hill(self, harmonics, onset, frac):
+        # measured to 7.1e-13 relative at 16384 steps (3.1e-12 at 4096); that
+        # is the eigenvalue noise of Hill at n = 80, which stayed within
+        # 7e-14 of a 65536-step radius at n = 24
+        lin, tr = self._system(harmonics)
+        mu = frac * onset
+        hill = math.exp(lin.period * np.max(hill_exponents(lin, mu, 80).real))
+        rho = spectral_radius_linear_system(lin, tr, mu, 16384)
+        assert hill > 1.0
+        assert abs(rho - hill) <= 1e-12 * hill, (rho, hill)
