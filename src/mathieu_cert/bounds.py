@@ -83,8 +83,8 @@ def compute_bound_chain(
     capped = phi_max == 0.0
     mu_bar = mu_cap if capped else 1.0 / (phi_max * T * T)
 
-    norm_u1 = spectral_norm_2x2(u1)
-    norm_h1 = spectral_norm_2x2(h1)
+    with np.errstate(over="ignore"):  # inf norms give L1 = inf and mu0 = 0, the conservative answer
+        norm_u1, norm_h1 = spectral_norm_2x2(u1), spectral_norm_2x2(h1)
     u2_bound = (1.0 + a_const + T) * (0.5 + phi_max * T)
     L1 = 2.0 * norm_h1 * T * u2_bound * (norm_u1 + u2_bound)
     mu1 = min(mu_bar, 1.0 / (8.0 * L1))

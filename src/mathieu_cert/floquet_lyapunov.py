@@ -132,7 +132,7 @@ def _products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X[:, :1] * Y[:1] + X[:, 1:] * Y[1:]
 
 
-def deviation_matrizant(W, T: float, n_steps: int = 4096):
+def deviation_matrizant(W, T: float, n_steps: int = 4096, *, final_only: bool = False):
     """Deviation Z = Y - I of the classical RK4 matrizant of v' = W(t) v.
 
     ``W`` is sampled once on the half-step grid ``half_step_grid(T,
@@ -148,10 +148,18 @@ def deviation_matrizant(W, T: float, n_steps: int = 4096):
     entries as contiguous arrays, with the 2x2 products written out, and each
     pass sums into one scratch array so that the heap is not trimmed per pass.
 
+    With ``final_only`` only Z(T), all a spectral radius needs, is formed,
+    in n_steps - 1 combines instead of about n_steps log2 n_steps: adjacent
+    blocks pair from the right end, an odd leftmost one passing through as
+    the scan leaves the entries below its shift.  That is the tree of the
+    scan's last entry, so Z(T) is bit for bit the same; the prefix runs
+    only where H(t) needs every node.
+
     The scan never forms I + Z, so absolute roundoff stays at the scale of
     Z rather than of the identity; that is what makes one-period stability
     margins of order mu resolvable when W is small (averaged systems at
-    small mu).  Returns ``(times, Z)`` with Z of shape (n_steps + 1, 2, 2).
+    small mu).  Returns ``(times, Z)`` with Z of shape (n_steps + 1, 2, 2),
+    or ``([0, T], [0, Z(T)])`` with ``final_only``.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
@@ -167,6 +175,12 @@ def deviation_matrizant(W, T: float, n_steps: int = 4096):
     k3 = am + (0.5 * h) * _products(am, k2)
     k4 = a1 + h * _products(a1, k3)
     D = np.ascontiguousarray((h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4))
+    if final_only:
+        while D.shape[-1] > 1:  # pair from the right; an odd leftmost block passes through
+            odd = D.shape[-1] % 2
+            L, E = D[..., odd + 1::2], D[..., odd::2]
+            D = np.concatenate((D[..., :odd], L + E + _products(L, E)), axis=-1)
+        return np.array([0.0, T]), np.stack((np.zeros((2, 2)), D[..., 0]))
     P = np.empty_like(D)
     shift = 1
     while shift < n_steps:
@@ -484,10 +498,10 @@ def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_ste
     return w
 
 
-def _z_deviation(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None):
+def _z_deviation(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None, **kw):
     """``deviation_matrizant`` of :func:`_z_generator`, refused by ArithmeticError where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps, pert), lin.period, n_steps)
+        times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps, pert), lin.period, n_steps, **kw)
     if not np.all(np.isfinite(Z[-1])):
         raise ArithmeticError(f"the propagation overflows at mu={mu} with {n_steps} steps per period")
     return times, Z
@@ -532,7 +546,7 @@ def spectral_radius_linear_system(
     the periodic coordinates z = (y, y'/mu - b y), where their trace
     -(alpha + d_alpha)*mu gives the Liouville value of the radius.
     """
-    _, Z = _z_deviation(lin, tr, mu, n_steps, pert)
+    _, Z = _z_deviation(lin, tr, mu, n_steps, pert, final_only=True)
     da = 0.0 if pert is None else pert.d_alpha
     return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
 

@@ -54,6 +54,14 @@ def l2_reference(norm_h1, t, phi_max, a, mu1):
 
 
 class TestBoundChain:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_gives_an_empty_range(self):
+        # U1 has entries of order phi^2 = 1e200, whose squares in the norm
+        # overflowed with a RuntimeWarning; an infinite norm is conservative
+        _, _, _, _, chain = chain_for(phi_hat=PeriodicSignal(TWO_PI, ((1, 0.0, 1e100),)))
+        assert chain.norm_u1 == chain.L1 == math.inf
+        assert chain.mu0 == 0.0
+
     def test_mu_bar(self, chain):
         assert chain.phi_max == pytest.approx(1.0, abs=1e-9)
         assert chain.mu_bar == pytest.approx(1.0 / (4.0 * math.pi ** 2), rel=1e-7)

@@ -9,8 +9,15 @@ import pytest
 
 from mathieu_cert import cli, floquet_lyapunov
 from mathieu_cert.cli import build_certificate, main, parse_grid_spec
-from mathieu_cert.floquet_lyapunov import matrizant
+from mathieu_cert.averaging import build_transform
+from mathieu_cert.floquet_lyapunov import (
+    _z_generator,
+    deviation_matrizant,
+    matrizant,
+    spectral_radius_from_deviation,
+)
 from mathieu_cert.model import linearize, model_from_dict, shift_to_zero, system_matrix_entries
+from mathieu_cert.periodic_signal import QuadratureGrid
 from mathieu_cert.robustness import Perturbation, decay_envelope
 from mathieu_cert.simulate import integrate, nonlinear_system
 
@@ -562,6 +569,42 @@ def test_overflowing_propagation_is_exit_1(command, tmp_path, capsys):
     assert out == ""
     assert err == ("mathieu-cert: error: the propagation overflows at mu=1e-08 "
                    "with 4096 steps per period\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [1e100, 1e150])
+@pytest.mark.parametrize("mu", ["1e-8", "1e-40"])
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_overflowing_norm_in_the_chain_is_exit_1(command, mu, amplitude, tmp_path, capsys):
+    # U1 is finite, but the squares in its norm overflowed with a numpy
+    # RuntimeWarning on stderr before the propagation was refused
+    phi = {"period": TWO_PI, "harmonics": [{"k": 1, "cos": 0.0, "sin": amplitude}]}
+    argv = [command, "--model", write_model(tmp_path, phi=phi)]
+    argv += ["--mu", mu] if command == "certify" else ["--mu-grid", mu, "--beta-grid", "0.25"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"mathieu-cert: error: the propagation overflows at mu={float(mu)} "
+                   "with 4096 steps per period\n")
+
+
+def test_radius_only_commands_match_the_full_scan(model_file, tmp_path, capsys):
+    # sweep and an exit-2 certify reduce the steps to Z(T) alone; their radii
+    # are, bit for bit, those of the full scan's last entry
+    lin = linearize(model_from_dict(PEND))
+    tr = build_transform(lin, QuadratureGrid(lin.period, 2048))
+
+    def scan_radius(mu, steps):
+        _, Z = deviation_matrizant(_z_generator(lin, tr, mu, steps), lin.period, steps)
+        return spectral_radius_from_deviation(Z[-1], -lin.alpha * mu * lin.period)
+
+    assert main(["sweep", "--model", model_file, "--mu-grid", "log:1e-8:1e-1:8",
+                 "--beta-grid", "0.25", "--steps", "1000"]) == 0
+    rows = csv_fields(capsys.readouterr().out)[1:]
+    assert len(rows) == 8
+    assert [float(r[2]) for r in rows] == [scan_radius(float(r[1]), 1000) for r in rows]
+    assert main(["certify", "--model", model_file, "--mu", "0.01", "--steps", "4097"]) == 2
+    assert json.loads(capsys.readouterr().out)["spectral_radius_at_mu"] == scan_radius(0.01, 4097)
 
 
 @pytest.mark.parametrize("k", [1.5, "1"])

@@ -198,6 +198,19 @@ class TestMatrizant:
                     _, z = deviation_matrizant(_z_generator(lin, transform, mu, n, p), TWO_PI, n)
                     np.testing.assert_allclose(z, ref, rtol=0.0, atol=atol)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0])
+    @pytest.mark.parametrize("n", [64, 65, 100, 1000, 4095, 4096, 4097])
+    def test_final_only_is_the_scans_last_entry(self, n, scale):
+        # the reduction pairs blocks from the right end, which is the tree of
+        # the scan's last entry for every n; pairing from the left differs
+        # from the scan except at powers of two
+        W = scale * np.random.default_rng(n).standard_normal((2 * n + 1, 2, 2))
+        times, Z = deviation_matrizant(W, TWO_PI, n, final_only=True)
+        _, Z_scan = deviation_matrizant(W, TWO_PI, n)
+        assert times.tolist() == [0.0, TWO_PI]
+        assert Z.shape == (2, 2, 2) and not np.any(Z[0])
+        assert Z[-1].tobytes() == Z_scan[-1].tobytes()
+
     def test_min_steps(self):
         with pytest.raises(ValueError):
             matrizant(lambda t: np.zeros((2, 2)), 1.0, 32)
