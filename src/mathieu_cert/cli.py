@@ -57,6 +57,7 @@ from .model import (
 )
 from .periodic_signal import QuadratureGrid
 from .robustness import (
+    AttractionCertificate,
     Perturbation,
     attraction_certificate,
     decay_envelope,
@@ -79,12 +80,14 @@ class Certificate:
     """Assembled certificate payload plus the exit status it implies.
 
     ``sol`` is the periodic Lyapunov solution behind the payload, present
-    only when the exit code is 0.
+    only when the exit code is 0; ``attraction`` is the attraction set of
+    the payload, present only when the perturbation is within the budgets.
     """
 
     payload: dict
     exit_code: int
     sol: PeriodicLyapunovSolution | None = None
+    attraction: AttractionCertificate | None = None
 
 
 def _budget_dict(b) -> dict:
@@ -158,11 +161,12 @@ def build_certificate(
     }
     budgets_hold = pert is None or b_nonlin.is_admissible(pert)
     if pert is not None:
+        mu_sup_d_phi_hat, mu_coeff_combo = b_nonlin.terms(pert)
         payload["budgets"]["perturbation"] = {
             "admissible_linear": b_lin.is_admissible(pert),
             "admissible_nonlinear": budgets_hold,
-            "mu_sup_d_phi_hat": mu * pert.sup_d_phi_hat,
-            "mu_coeff_combo": mu * (abs(pert.d_beta_hat) * mu + abs(pert.d_alpha)),
+            "mu_sup_d_phi_hat": mu_sup_d_phi_hat,
+            "mu_coeff_combo": mu_coeff_combo,
         }
 
     g = shift_to_zero(model)
@@ -177,18 +181,16 @@ def build_certificate(
         "q_mu": q,
         "q_tilde": q_tilde(q, sol.h_max),
     }
-    if budgets_hold:
-        cert = attraction_certificate(sol, q, p, rho_eff)
-        payload["attraction"] = cert.as_dict()
-        rates = envelope_rate_integrals(sol, pert or Perturbation.zero(), mu)
-        payload["envelope"] = {
-            "prefactor_over_v0_lyapunov": 4.0 / sol.h_min,
-            "rate_per_period": rates,
-        }
-    else:
-        payload["attraction"] = None
-        payload["envelope"] = None
-    return Certificate(payload=payload, exit_code=0, sol=sol)
+    if not budgets_hold:
+        payload["attraction"] = payload["envelope"] = None
+        return Certificate(payload=payload, exit_code=0, sol=sol)
+    cert = attraction_certificate(sol, q, p, rho_eff)
+    payload["attraction"] = cert.as_dict()
+    payload["envelope"] = {
+        "prefactor_over_v0_lyapunov": 4.0 / sol.h_min,
+        "rate_per_period": envelope_rate_integrals(sol, pert, mu),
+    }
+    return Certificate(payload=payload, exit_code=0, sol=sol, attraction=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,9 @@ def parse_grid_spec(spec: str) -> np.ndarray:
 # subcommands
 
 
-def _resolve_inputs(args) -> tuple[MathieuModel, float, Perturbation | None]:
-    """Model, mu and perturbation (if the subcommand takes ``--pert``) from the flags."""
+def _certificate_from_flags(args) -> tuple[MathieuModel, float, Perturbation | None, Certificate]:
+    """Model, mu and perturbation (``--pert`` and ``--rho`` where the subcommand
+    takes them) from the flags, and the certificate they give."""
     model, derived_mu = load_model(args.model)
     mu = args.mu if args.mu is not None else derived_mu
     if mu is None:
@@ -305,14 +308,14 @@ def _resolve_inputs(args) -> tuple[MathieuModel, float, Perturbation | None]:
     pert = None
     if getattr(args, "pert", None):
         pert = perturbation_from_dict(_load_json(args.pert), model)
-    return model, mu, pert
+    cert = build_certificate(
+        model, mu, pert=pert, rho=getattr(args, "rho", None), grid_n=args.grid, steps=args.steps
+    )
+    return model, mu, pert, cert
 
 
 def _cmd_certify(args) -> int:
-    model, mu, pert = _resolve_inputs(args)
-    cert = build_certificate(
-        model, mu, pert=pert, rho=args.rho, grid_n=args.grid, steps=args.steps
-    )
+    model, mu, _, cert = _certificate_from_flags(args)
     if args.dump_transform:
         _dump_transform(model, mu, args.grid, args.dump_transform)
     if args.dump_lyapunov and cert.exit_code == 0:
@@ -324,8 +327,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_margins(args) -> int:
-    model, mu, _ = _resolve_inputs(args)
-    cert = build_certificate(model, mu, grid_n=args.grid, steps=args.steps)
+    _, mu, _, cert = _certificate_from_flags(args)
     if cert.exit_code != 0:
         _dump_json(cert.payload, args.out)
         return cert.exit_code
@@ -351,10 +353,7 @@ def _table(header: str, *columns) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    model, mu, pert = _resolve_inputs(args)
-    cert = build_certificate(
-        model, mu, pert=pert, rho=args.rho, grid_n=args.grid, steps=args.steps
-    )
+    model, mu, pert, cert = _certificate_from_flags(args)
     if cert.exit_code != 0:
         _dump_json(cert.payload, args.out)
         return cert.exit_code
@@ -364,22 +363,11 @@ def _cmd_simulate(args) -> int:
     system = nonlinear_system(model.alpha, model.beta, model.phi, g, mu, pert)
     traj = integrate(system, args.y0, args.y1, args.t_end, args.steps, args.stride)
 
-    v0 = np.array([args.y0, args.y1])
-    psi0 = sol.value_at_node(0, v0)
-    attraction = cert.payload.get("attraction")
-    in_lyap = attraction is not None and psi0 <= attraction["lyapunov_radius_sq"]
-    in_euclid = (
-        attraction is not None
-        and (
-            attraction["euclid_radius"] is None
-            or math.hypot(args.y0, args.y1) <= attraction["euclid_radius"]
-        )
-    )
-    env_ok = attraction is not None and in_lyap and in_euclid
+    psi0 = sol.value_at_node(0, np.array([args.y0, args.y1]))
+    in_lyap, in_euclid = cert.attraction.membership(sol, args.y0, args.y1) if cert.attraction else (False, False)
+    env_ok = in_lyap and in_euclid
     if env_ok:
-        env = decay_envelope(
-            sol, pert or Perturbation.zero(), psi0, traj.times, "nonlinear"
-        )
+        env = decay_envelope(sol, pert, psi0, traj.times, "nonlinear")
     else:
         env = np.full_like(traj.times, math.nan)
 

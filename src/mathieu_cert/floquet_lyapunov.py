@@ -492,6 +492,7 @@ def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_ste
     mb = mu * b
     w = matrices_2x2(mb, mu, -mb * (b + lin.alpha) - mu * lin.beta_hat, -mb - mu * lin.alpha)
     if pert is not None:
+        pert.on_period(lin.period)
         g = pert.d_beta_hat * mu + pert.d_phi_hat_eval(half_step_grid(lin.period, n_steps))
         w[..., 1, 0] -= g + pert.d_alpha * mb
         w[..., 1, 1] -= pert.d_alpha * mu

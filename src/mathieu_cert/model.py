@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .periodic_signal import PeriodicSignal, signal_from_dict, signal_to_dict
+from .periodic_signal import PeriodicSignal, refuse_unknown_keys, signal_from_dict, signal_to_dict
 
 __all__ = [
     "Nonlinearity",
@@ -44,7 +44,8 @@ class Nonlinearity:
     kind "pendulum_sine" is f(y) = scale * sin(shift + y); kind
     "polynomial" is f(y) = sum_j coeffs[j-1] * (shift + y)**j with no
     constant term.  The closed family is what lets quadratic remainder
-    constants be computed with stated provenance instead of sampled.
+    constants be computed with stated provenance instead of sampled.  A
+    field its kind does not use is refused, not ignored.
     """
 
     kind: str
@@ -56,8 +57,16 @@ class Nonlinearity:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "shift", float(self.shift))
+        object.__setattr__(self, "scale", float(self.scale))
         if self.kind == "polynomial" and not self.coeffs:
             raise ValueError("polynomial nonlinearity needs at least one coefficient")
+        if self.kind == "polynomial" and self.scale != 1.0:
+            raise ValueError("f.scale applies to a pendulum_sine only; scale a polynomial by its coeffs")
+        if self.kind == "pendulum_sine" and self.coeffs:
+            raise ValueError("f.coeffs apply to a polynomial only")
+        if not all(map(math.isfinite, (self.shift, self.scale, *self.coeffs))):
+            raise ValueError("f.shift, f.scale and f.coeffs must be finite")
         if self.scale == 0.0:
             raise ValueError("scale must be nonzero")
 
@@ -92,6 +101,17 @@ class Nonlinearity:
             for c in rest:
                 out = x * (out + c)
         return out if out.ndim else float(out)
+
+    def check_stationary(self, y: float, name: str) -> None:
+        """Refuse ``y`` (``name`` in messages) unless f'(y) < 0 and y is stationary to 1e-12: |f(y)| for
+        a polynomial, and for a sine the scale-free |sin(shift + y)| that shift_to_zero relies on."""
+        x = self.shift + y  # +-inf only where a finite shift and y overflow together
+        residual = self.value(y) if self.kind == "polynomial" else math.sin(x) if math.isfinite(x) else x
+        if not abs(residual) < 1e-12:
+            what = f"sin(shift + {name})" if self.kind == "pendulum_sine" else f"f({name})"
+            raise ValueError(f"{name}={y} is not a stationary point: |{what}|={abs(residual):.3e}")
+        if not self.derivative(y) < 0.0:
+            raise ValueError(f"stationary point must have f'({name}) < 0")
 
     def derivative(self, y):
         y = np.asarray(y, dtype=float)
@@ -128,13 +148,7 @@ class MathieuModel:
             raise ValueError("damping coefficient alpha must be >= 0")
         if not self.beta > 0.0:
             raise ValueError("coefficient beta must be > 0")
-        if abs(self.f.value(self.gamma)) >= 1e-12:
-            raise ValueError(
-                f"gamma={self.gamma} is not a stationary point: |f(gamma)|="
-                f"{abs(self.f.value(self.gamma)):.3e}"
-            )
-        if not self.f.derivative(self.gamma) < 0.0:
-            raise ValueError("stationary point must have f'(gamma) < 0")
+        self.f.check_stationary(self.gamma, "gamma")
 
     @property
     def period(self) -> float:
@@ -170,7 +184,7 @@ class LinearizedSystem:
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise ValueError("linearized analysis requires alpha > 0")
+            raise ValueError("stability analysis requires positive damping (alpha > 0)")
         if not self.beta_hat < 0.0:
             raise ValueError(
                 "beta_hat must be negative (beta > 0 and f'(gamma) < 0)"
@@ -208,11 +222,7 @@ def pendulum_reduce(p: PendulumParams) -> tuple[MathieuModel, float]:
 
 def linearize(m: MathieuModel) -> LinearizedSystem:
     """Linearize around y = gamma: beta_hat = beta*f'(gamma), phi_hat = phi*f'(gamma)."""
-    if not m.alpha > 0.0:
-        raise ValueError("stability analysis requires positive damping (alpha > 0)")
     fp = m.f.derivative(m.gamma)
-    if not fp < 0.0:
-        raise ValueError("linearization requires f'(gamma) < 0")
     return LinearizedSystem(
         alpha=m.alpha,
         beta_hat=m.beta * fp,
@@ -224,9 +234,9 @@ def linearize(m: MathieuModel) -> LinearizedSystem:
 def shift_to_zero(m: MathieuModel) -> Nonlinearity:
     """Move the stationary point to the origin: g(z) = f(gamma + z).
 
-    For the pendulum at gamma = pi this is g(z) = -sin z.  Stationarity of
-    a sine requires shift + gamma to be a multiple of pi up to the model's
-    1e-12 tolerance, and the returned function uses that multiple exactly:
+    For the pendulum at gamma = pi this is g(z) = -sin z.  The model's
+    stationarity check puts shift + gamma of a sine within 1e-12 of a
+    multiple of pi, and the returned function uses that multiple exactly:
     evaluating sin(pi + z) literally in floats would leave a constant bias
     of about 1.2e-16 that dominates the dynamics at the small amplitudes
     attraction certificates operate on.  Polynomials are expanded
@@ -234,10 +244,7 @@ def shift_to_zero(m: MathieuModel) -> Nonlinearity:
     tolerance and is dropped for the same reason.
     """
     if m.f.kind == "pendulum_sine":
-        total = m.f.shift + m.gamma
-        k = round(total / math.pi)
-        if abs(math.sin(total)) >= 1e-12:
-            raise ValueError("sine stationary point must sit at a multiple of pi")
+        k = round((m.f.shift + m.gamma) / math.pi)
         sign = -1.0 if k % 2 else 1.0
         return Nonlinearity("pendulum_sine", scale=sign * m.f.scale)
     s = m.f.shift + m.gamma
@@ -265,10 +272,7 @@ def quadratic_remainder_bound(g: Nonlinearity, rho: float | None = None) -> floa
     |xi - sin xi| <= |xi|^3 / 6 yields p = rho/6, and no finite global p
     exists.
     """
-    if abs(g.value(0.0)) >= 1e-12:
-        raise ValueError("quadratic remainder bound requires g(0) = 0")
-    if not g.derivative(0.0) < 0.0:
-        raise ValueError("quadratic remainder bound requires g'(0) < 0")
+    g.check_stationary(0.0, "xi")
     if rho is not None and not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError("rho must be finite and >= 0")
 
@@ -342,12 +346,8 @@ def model_to_dict(m: MathieuModel) -> dict:
 def model_from_dict(d: dict) -> MathieuModel:
     try:
         fdict = d["f"]
-        f = Nonlinearity(
-            fdict["kind"],
-            tuple(fdict.get("coeffs", ())),
-            float(fdict.get("shift", 0.0)),
-            float(fdict.get("scale", 1.0)),
-        )
+        refuse_unknown_keys(fdict, ("kind", "coeffs", "shift", "scale"), "f")
+        f = Nonlinearity(**fdict)
         return MathieuModel(
             alpha=float(d["alpha"]),
             beta=float(d["beta"]),

@@ -236,9 +236,22 @@ def signal_to_dict(s: PeriodicSignal) -> dict:
     }
 
 
+def refuse_unknown_keys(d: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse a key of the JSON object ``d`` outside ``known``; a ``d`` that is no object is a TypeError."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where} (expected {', '.join(known)})")
+
+
+def _harmonic(h: dict) -> tuple:
+    refuse_unknown_keys(h, ("k", "cos", "sin"), "a harmonic entry")
+    return h["k"], h.get("cos", 0.0), h.get("sin", 0.0)
+
+
 def signal_from_dict(d: dict) -> PeriodicSignal:
     try:
-        harm = tuple((h["k"], h.get("cos", 0.0), h.get("sin", 0.0)) for h in d["harmonics"])
-        return PeriodicSignal(float(d["period"]), harm)
+        return PeriodicSignal(float(d["period"]), tuple(map(_harmonic, d["harmonics"])))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed signal description: {exc}") from exc

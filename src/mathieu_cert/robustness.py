@@ -77,6 +77,17 @@ class Perturbation:
         return cls(0.0, 0.0, None, 0.0, scaling)
 
     @classmethod
+    def resolve(cls, pert: "Perturbation | None", period: float) -> "Perturbation":
+        """``pert``, or the zero perturbation for None, on the system ``period``."""
+        return (cls.zero() if pert is None else pert).on_period(period)
+
+    def on_period(self, period: float) -> "Perturbation":
+        """This perturbation, refused unless its d_phi has ``period``: d_phi is sampled on the system's."""
+        if self.d_phi is not None and self.d_phi.period != period:
+            raise ValueError("d_phi period must match the system period")
+        return self
+
+    @classmethod
     def for_model(
         cls,
         model: MathieuModel,
@@ -143,26 +154,28 @@ class RobustnessBudget:
     level: str  # "linear" (1/4) or "nonlinear" (1/8)
     h_max: float
 
+    def terms(self, pert: Perturbation) -> tuple[float, float]:
+        """The two bounded quantities: mu*sup|d_phi_hat| and mu*(|d_beta_hat|*mu + |d_alpha|)."""
+        return self.mu * pert.sup_d_phi_hat, self.mu * (abs(pert.d_beta_hat) * self.mu + abs(pert.d_alpha))
+
     def is_admissible(self, pert: Perturbation) -> bool:
-        lhs_phi = self.mu * pert.sup_d_phi_hat
-        lhs_coeff = self.mu * (abs(pert.d_beta_hat) * self.mu + abs(pert.d_alpha))
+        lhs_phi, lhs_coeff = self.terms(pert)
         return lhs_phi < self.budget_phi_sup and lhs_coeff < self.budget_coeff
+
+
+def _budget(sol: PeriodicLyapunovSolution, k: float, level: str) -> RobustnessBudget:
+    bound = 1.0 / (k * sol.h_max)
+    return RobustnessBudget(mu=sol.mu, budget_phi_sup=bound, budget_coeff=bound, level=level, h_max=sol.h_max)
 
 
 def linear_budget(sol: PeriodicLyapunovSolution) -> RobustnessBudget:
     """Budgets under which the perturbed linear system stays asymptotically stable."""
-    bound = 1.0 / (4.0 * sol.h_max)
-    return RobustnessBudget(
-        mu=sol.mu, budget_phi_sup=bound, budget_coeff=bound, level="linear", h_max=sol.h_max
-    )
+    return _budget(sol, 4.0, "linear")
 
 
 def nonlinear_budget(sol: PeriodicLyapunovSolution) -> RobustnessBudget:
     """Halved budgets that additionally keep eps(t,mu) >= 1/2."""
-    bound = 1.0 / (8.0 * sol.h_max)
-    return RobustnessBudget(
-        mu=sol.mu, budget_phi_sup=bound, budget_coeff=bound, level="nonlinear", h_max=sol.h_max
-    )
+    return _budget(sol, 8.0, "nonlinear")
 
 
 def epsilon_fn(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float, t):
@@ -173,7 +186,7 @@ def epsilon_fn(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float, t):
     a lower bound up to grid resolution.
     """
     t = np.asarray(t, dtype=float)
-    out = 1.0 - 2.0 * sol.hnorm_at(t) * delta_a_norm(pert, mu, t)
+    out = 1.0 - 2.0 * sol.hnorm_at(t) * delta_a_norm(pert.on_period(sol.period), mu, t)
     return out if out.ndim else float(out)
 
 
@@ -190,7 +203,7 @@ def q_of_mu(
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
-    pert = pert or Perturbation.zero()
+    pert = Perturbation.resolve(pert, model.period)
     sup_phi = sup_norm(model.phi, pert.d_phi, offset=pert.d_phi_offset)
     return (abs(model.beta + pert.d_beta) * mu * mu + sup_phi * mu) * p
 
@@ -218,13 +231,14 @@ class AttractionCertificate:
     h_min: float
     h_max: float
 
+    def membership(self, sol: PeriodicLyapunovSolution, y0: float, y1: float) -> tuple[bool, bool]:
+        """(inside the Lyapunov level set, inside the Euclidean cap) of v = (y0, y1);
+        a NaN value, <H(0)v, v> of a huge v included, counts as outside."""
+        in_lyapunov = bool(sol.value_at_node(0, np.array([y0, y1])) <= self.lyapunov_radius_sq)
+        return in_lyapunov, self.euclid_radius is None or math.hypot(y0, y1) <= self.euclid_radius
+
     def contains(self, sol: PeriodicLyapunovSolution, y0: float, y1: float) -> bool:
-        v = np.array([y0, y1])
-        if sol.value_at_node(0, v) > self.lyapunov_radius_sq:
-            return False
-        if self.euclid_radius is not None and math.hypot(y0, y1) > self.euclid_radius:
-            return False
-        return True
+        return all(self.membership(sol, y0, y1))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -265,7 +279,8 @@ def attraction_certificate(
 # decay envelopes
 
 
-def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float) -> np.ndarray | float:
+def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation | None, mu: float) -> np.ndarray | float:
+    pert = Perturbation.resolve(pert, sol.period)
     if pert.is_zero and mu > 0.0:  # delta_a_norm is exactly 0 at every node; other mu reach its refusal
         return 0.0
     d = np.asarray(delta_a_norm(pert, mu, sol.times))
@@ -273,7 +288,7 @@ def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: flo
 
 
 def envelope_rate_integrals(
-    sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float
+    sol: PeriodicLyapunovSolution, pert: Perturbation | None, mu: float
 ) -> dict:
     """One-period values of the envelope decay-rate integrals.
 
@@ -295,7 +310,7 @@ def envelope_rate_integrals(
 
 def decay_envelope(
     sol: PeriodicLyapunovSolution,
-    pert: Perturbation,
+    pert: Perturbation | None,
     v0_value: float,
     t,
     variant: str,
@@ -401,14 +416,12 @@ def perturbation_from_dict(d: dict, model: MathieuModel) -> Perturbation:
             if dphi.get("harmonics"):
                 period = dphi.get("period") or model.period
                 sig = signal_from_dict({"period": period, "harmonics": dphi["harmonics"]})
-                if sig.period != model.period:
-                    raise ValueError("d_phi period must match the model period")
         return Perturbation.for_model(
             model,
             d_alpha=float(d.get("d_alpha", 0.0)),
             d_beta=float(d.get("d_beta", 0.0)),
             d_phi=sig,
             d_phi_offset=offset,
-        )
+        ).on_period(model.period)
     except (TypeError, AttributeError) as exc:  # a null field, or a non-object d_phi
         raise ValueError(f"malformed perturbation description: {exc}") from exc

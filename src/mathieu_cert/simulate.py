@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .model import LinearizedSystem, Nonlinearity
-from .periodic_signal import PeriodicSignal
+from .periodic_signal import PeriodicSignal, half_step_grid
 from .robustness import Perturbation
 
 __all__ = [
@@ -61,16 +61,9 @@ class Trajectory:
     diverged: bool = False
 
 
-def _perturbation(pert: Perturbation | None, period: float) -> Perturbation:
-    """``pert`` or the zero perturbation, refused unless it shares ``period``."""
-    if pert is not None and pert.d_phi is not None and pert.d_phi.period != period:
-        raise ValueError("d_phi period must match the system period")
-    return Perturbation.zero() if pert is None else pert
-
-
 def linear_system(lin: LinearizedSystem, mu: float, pert: Perturbation | None = None) -> OdeSystem:
     """y'' + (alpha+da) mu y' + ((beta_hat+db_hat) mu^2 + mu (phi_hat+dphi_hat)(t)) y = 0."""
-    pert = _perturbation(pert, lin.period)
+    pert = Perturbation.resolve(pert, lin.period)
     bm2 = (lin.beta_hat + pert.d_beta_hat) * mu * mu
     return OdeSystem(
         damping=(lin.alpha + pert.d_alpha) * mu,
@@ -91,7 +84,7 @@ def nonlinear_system(
     pert: Perturbation | None = None,
 ) -> OdeSystem:
     """y'' + (alpha+da) mu y' + ((beta+db) mu^2 + mu (phi+dphi)(t)) f(y) = 0."""
-    pert = _perturbation(pert, phi.period)
+    pert = Perturbation.resolve(pert, phi.period)
     bm2 = (beta + pert.d_beta) * mu * mu
     return OdeSystem(
         damping=(alpha + pert.d_alpha) * mu,
@@ -123,7 +116,7 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
         raise ValueError("initial states must be finite")
     # c(t) at the start, midpoint and end of each step of one period; step i
     # starts at (i-1) h, which c sees as the step (i-1) % steps_per_period
-    c = system.coef(np.arange(2 * steps_per_period + 1) * (0.5 * h)).tolist()
+    c = system.coef(half_step_grid(system.period, steps_per_period)).tolist()
     c = c if len(s) == 1 else list(map(np.array, c))  # 0-d: cheaper ufunc operands
     table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
     a, g = system.damping, system.g

@@ -625,6 +625,71 @@ def test_non_integer_harmonic_index_is_exit_1(where, k, model_file, tmp_path, ca
     assert err == "mathieu-cert: error: harmonic indices must be integers\n"
 
 
+def _refusal(argv, capsys):
+    """stderr of a command that must exit 1 with nothing on stdout."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("mathieu-cert: error: ") and "Traceback" not in err
+    return err
+
+
+def test_sine_stationarity_is_one_rule_for_every_command(tmp_path, capsys):
+    # certify ran the pipeline and then refused in shift_to_zero, while sweep
+    # charted the same file with certified_by_mu0 = true
+    phi = {"period": TWO_PI, "harmonics": [{"k": 1, "cos": 0.0, "sin": -100.0}]}
+    path = write_model(tmp_path, phi=phi, gamma=3.1415926536897931,
+                       f={"kind": "pendulum_sine", "scale": 0.001})
+    certify = _refusal(["certify", "--model", path, "--mu", "1e-12"], capsys)
+    sweep = _refusal(["sweep", "--model", path, "--mu-grid", "1e-12", "--beta-grid", "0.25"], capsys)
+    assert certify == sweep == ("mathieu-cert: error: gamma=3.141592653689793 is not a stationary "
+                                "point: |sin(shift + gamma)|=1.000e-10\n")
+    # the float pi is stationary for a sine of any scale
+    path = write_model(tmp_path, f={"kind": "pendulum_sine", "scale": 1e4})
+    assert main(["certify", "--model", path, "--mu", "1e-12"]) in (0, 2, 3)
+    assert main(["sweep", "--model", path, "--mu-grid", "1e-12", "--beta-grid", "0.25"]) == 0
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [({"kind": "polynomial", "coeffs": [-1.0, 0.0, 0.16], "scale": 5.0}, "f.scale applies to"),
+     ({"kind": "pendulum_sine", "coeffs": [1.0]}, "f.coeffs apply to"),
+     ({"kind": "polynomial", "coeffs": [-1.0], "Scale": 1.0}, "unknown key 'Scale' in f")],
+)
+def test_field_of_f_that_its_kind_ignores_is_exit_1(f, message, tmp_path, capsys):
+    # the polynomial with scale 5 exited 0 with every number of the file without it
+    path = write_model(tmp_path, f=f, gamma=0.0)
+    argv = ["certify", "--model", path, "--mu", "5e-8", "--rho", "0.5"]
+    assert message in _refusal(argv, capsys)
+
+
+@pytest.mark.parametrize("where", ["model", "pert"])
+def test_unknown_harmonic_key_is_exit_1(where, model_file, tmp_path, capsys):
+    # {"k": 1, "Sin": -1.0} read as a zero harmonic: exit 3 on the model, a
+    # silent zero perturbation on the pert file
+    harmonics = [{"k": 1, "Sin": -1.0}]
+    if where == "model":
+        argv = ["certify", "--model", write_model(tmp_path, phi={"period": TWO_PI,
+                                                                 "harmonics": harmonics})]
+    else:
+        pert = tmp_path / "pert.json"
+        pert.write_text(json.dumps({"d_phi": {"period": TWO_PI, "harmonics": harmonics}}))
+        argv = ["certify", "--model", model_file, "--pert", str(pert)]
+    err = _refusal([*argv, "--mu", "7e-8"], capsys)
+    assert err == ("mathieu-cert: error: unknown key 'Sin' in a harmonic entry "
+                   "(expected k, cos, sin)\n")
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_foreign_period_perturbation_is_exit_1(command, model_file, tmp_path, capsys):
+    pert = tmp_path / "pert.json"
+    pert.write_text(json.dumps({"d_phi": {"period": 3.0, "harmonics": [{"k": 1, "cos": 1e-30}]}}))
+    argv = [command, "--model", model_file, "--pert", str(pert), "--mu", "7e-8"]
+    if command == "simulate":
+        argv += ["--y0", "0", "--y1", "0", "--t-end", "1"]
+    err = _refusal(argv, capsys)
+    assert err == "mathieu-cert: error: d_phi period must match the system period\n"
+
+
 def test_grid_moves_no_certificate_value(tmp_path, capsys):
     # phi_max, q(mu), sup|d_phi_hat| and min(a) come from the critical points
     # of their series, so --grid reaches only its own echo (and the

@@ -27,7 +27,7 @@ from mathieu_cert.floquet_lyapunov import (
     spectral_radius_linear_system,
     sym_eig_bounds,
 )
-from mathieu_cert.averaging import build_transform, build_u1, build_u2_u3
+from mathieu_cert.averaging import bogolyubov_condition, build_transform, build_u1, build_u2_u3
 from mathieu_cert.model import LinearizedSystem, matrices_2x2, system_matrix, system_matrix_entries
 from mathieu_cert.periodic_signal import (
     PeriodicSignal,
@@ -831,7 +831,10 @@ class TestClassicalMathieu:
     circle, so the radius is exp(-alpha mu pi); real multipliers set in where
     a = b_1(|q|).  The onset matched the b_1 root to 1.6e-15 relative when
     measured.  Dropping alpha b from A_z moves the onset; dropping b^2 fails
-    both tests.
+    both tests.  Below a_0(|q|) the undamped multipliers are real again, one
+    of them outside the unit circle, so the radius exceeds exp(-alpha mu pi);
+    that onset matched the a_0 root to 4.5e-16 relative when measured.  Both
+    mutants move the a_0 onset; the inequality below a_0 alone survives both.
     """
 
     C, THETA = 1.0, 0.3
@@ -874,6 +877,25 @@ class TestClassicalMathieu:
         q = 2.0 * mu * abs(self.C)
         assert mathieu_a(0, q) < (4.0 * beta_hat - alpha ** 2) * mu * mu < mathieu_b(1, q)
         assert abs(self._excess(lin, tr, mu)) <= 2.0 ** -52
+
+    @pytest.mark.parametrize(
+        "alpha, beta_hat, mu",
+        [(0.1, -0.6, 1e-3), (0.1, -0.6, 0.01), (0.01, -0.55, 0.01), (0.1, -0.51, 1e-4), (0.1, -1.0, 0.1)],
+    )
+    def test_radius_below_a0_exceeds_the_damping(self, alpha, beta_hat, mu):
+        # |beta_hat| > c^2/2 = 1/2: the averaged test fails and a lies below a_0 at small mu;
+        # the smallest excess measured here was 7.0e-5, at mu = 1e-4
+        lin, tr = self._system(alpha, beta_hat)
+        assert not bogolyubov_condition(lin, QuadratureGrid(TWO_PI, 2048)).holds
+        assert (4.0 * beta_hat - alpha ** 2) * mu * mu < mathieu_a(0, 2.0 * mu * abs(self.C))
+        assert self._excess(lin, tr, mu) > 1e-5
+
+    @pytest.mark.parametrize("alpha, mu", [(0.1, 0.01), (0.1, 0.1), (0.01, 0.3)])
+    def test_onset_below_is_the_a0_root(self, alpha, mu):
+        # at fixed mu the radius leaves exp(-alpha mu pi) where beta_hat takes a below a_0
+        ref = (mathieu_a(0, 2.0 * mu * abs(self.C)) / (mu * mu) + alpha ** 2) / 4.0
+        onset = _bisect(lambda bh: self._excess(*self._system(alpha, bh), mu) > 1e-12, 0.99 * ref, 1.01 * ref)
+        assert abs(onset - ref) <= 2.5e-15 * abs(ref), (onset, ref)
 
 
 def _bisect(past, lo, hi):

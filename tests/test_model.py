@@ -85,6 +85,34 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MathieuModel(0.1, -0.25, SIN, poly(-1.0), gamma=0.0)
 
+    def test_sine_stationarity_is_scale_free(self):
+        # |sin(shift + gamma)| < 1e-12 decides for a sine, whatever its scale:
+        # math.pi was refused at scale 1e4 (|f(gamma)| = 1.2e-12), and a gamma
+        # 1e-10 off pi was accepted at scale 1e-3 (|f(gamma)| = 1e-13)
+        m = MathieuModel(0.1, 0.25, SIN, Nonlinearity("pendulum_sine", scale=1e4), gamma=math.pi)
+        assert shift_to_zero(m) == Nonlinearity("pendulum_sine", scale=-1e4)
+        with pytest.raises(ValueError, match="gamma=3.141592653689793 is not a stationary point"):
+            MathieuModel(0.1, 0.25, SIN, Nonlinearity("pendulum_sine", scale=1e-3), gamma=3.1415926536897931)
+
+    def test_remainder_bound_shares_the_stationarity_rule(self):
+        # g(0) = -1e-3 sin(1e-10) = -1e-13 passed the old |g(0)| < 1e-12
+        with pytest.raises(ValueError, match="xi=0.0 is not a stationary point"):
+            quadratic_remainder_bound(Nonlinearity("pendulum_sine", shift=1e-10, scale=-1e-3), 0.5)
+        with pytest.raises(ValueError, match=r"f'\(xi\) < 0"):
+            quadratic_remainder_bound(poly(1.0, 0.5), 0.5)
+
+    @pytest.mark.parametrize(
+        "kw, field",
+        [(dict(kind="polynomial", coeffs=(-1.0, 0.0, 0.16), scale=5.0), "f.scale"),
+         (dict(kind="pendulum_sine", coeffs=(1.0,)), "f.coeffs"),
+         (dict(kind="pendulum_sine", shift=math.nan), "f.shift"),
+         (dict(kind="polynomial", coeffs=(-1.0, math.inf)), "f.coeffs")],
+    )
+    def test_field_the_kind_ignores_is_refused(self, kw, field):
+        # scale on a polynomial and coeffs on a sine were silently unused
+        with pytest.raises(ValueError, match=field):
+            Nonlinearity(**kw)
+
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
     def test_non_finite_rejected(self, field):
         args = dict(alpha=0.1, beta=0.25, phi=SIN, f=poly(-1.0), gamma=0.0)
@@ -230,6 +258,18 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             model_from_dict({"alpha": 1.0})
+
+    @pytest.mark.parametrize(
+        "f, phi_entry, key",
+        [({"kind": "pendulum_sine", "scal": 2.0}, {"k": 1, "sin": -1.0}, "'scal' in f"),
+         ({"kind": "pendulum_sine"}, {"k": 1, "Sin": -1.0}, "'Sin' in a harmonic entry")],
+    )
+    def test_unknown_key_is_refused(self, f, phi_entry, key):
+        # {"k": 1, "Sin": -1.0} read as a zero harmonic
+        d = {"alpha": 0.1, "beta": 0.25, "phi": {"period": TWO_PI, "harmonics": [phi_entry]},
+             "f": f, "gamma": math.pi}
+        with pytest.raises(ValueError, match=f"unknown key {key}"):
+            model_from_dict(d)
 
 
 class TestNonlinearityProperties:

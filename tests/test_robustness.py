@@ -215,6 +215,21 @@ class TestAttraction:
         assert not cert.contains(sol, 0.9, 0.9)  # lyapunov value 1.62 > 1
         assert not cert.contains(sol, 0.3, 0.0)  # euclid 0.3 > 0.25
 
+    def test_membership_flags(self):
+        sol = constant_sol(1.0)
+        cert = attraction_certificate(sol, q_mu=0.125, p=1.0, rho=1.0)
+        assert cert.membership(sol, 0.1, 0.1) == (True, True)
+        assert cert.membership(sol, 0.9, 0.9) == (False, False)
+        assert cert.membership(sol, 0.3, 0.0) == (True, False)
+
+    def test_nan_value_is_outside(self, sol_small_mu):
+        # <H(0)v, v> of v = (1e200, 0) is NaN, which `NaN > r` used to let in
+        cert = attraction_certificate(sol_small_mu, 1.0, 1.0, rho=None)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the quadratic form
+            assert math.isnan(sol_small_mu.value_at_node(0, np.array([1e200, 0.0])))
+            assert cert.membership(sol_small_mu, 1e200, 0.0) == (False, True)
+            assert not cert.contains(sol_small_mu, 1e200, 0.0)
+
 
 class TestDecayEnvelope:
     def test_linear_constant_h(self):
@@ -443,6 +458,24 @@ class TestPerturbationIO:
         )
         back = perturbation_from_dict(perturbation_to_dict(pert), pendulum_model)
         assert back == pert
+
+    def test_foreign_period_is_refused_everywhere(self, pendulum_model, lin, transform, sol_small_mu):
+        # the radius and both envelope functions sampled a period-3 d_phi on
+        # the system's grid (the radius at mu = 0.01 came out as 1.0233)
+        pert = Perturbation.for_model(pendulum_model, d_phi=PeriodicSignal(3.0, ((1, 0.1, 0.0),)))
+        sol, mu = sol_small_mu, sol_small_mu.mu
+        for call in (
+            lambda: spectral_radius_linear_system(lin, transform, 0.01, 1024, pert),
+            lambda: decay_envelope(sol, pert, 1.0, [0.0, 1.0], "linear"),
+            lambda: envelope_rate_integrals(sol, pert, mu),
+            lambda: epsilon_fn(sol, pert, mu, 0.5),
+            lambda: q_of_mu(pendulum_model, pert, 1.0, mu, GRID),
+            lambda: pert.on_period(TWO_PI),
+        ):
+            with pytest.raises(ValueError, match="^d_phi period must match the system period$"):
+                call()
+        assert pert.on_period(3.0) is pert
+        assert Perturbation.resolve(None, 3.0) == Perturbation.zero()
 
     def test_period_mismatch(self, pendulum_model):
         d = {"d_alpha": 0.0, "d_beta": 0.0,
