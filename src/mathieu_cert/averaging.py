@@ -56,7 +56,6 @@ class AveragingTransform:
     a: PeriodicSignal
     b: PeriodicSignal
     phi_hat: PeriodicSignal
-    grid: QuadratureGrid
     _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def half_step_samples(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +84,7 @@ def build_transform(lin: LinearizedSystem, grid: QuadratureGrid) -> AveragingTra
         raise ValueError("grid period must match the system period")
     b = zero_mean_antiderivative(lin.phi_hat).scaled(-1.0)
     a = zero_mean_antiderivative(b)
-    return AveragingTransform(a=a, b=b, phi_hat=lin.phi_hat, grid=grid)
+    return AveragingTransform(a=a, b=b, phi_hat=lin.phi_hat)
 
 
 def mean_phi_a(lin: LinearizedSystem, tr: AveragingTransform) -> float:

@@ -20,19 +20,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .averaging import AveragingTransform, TransformedSystem
-from .floquet_lyapunov import spectral_norm_2x2, sym_eig_bounds
+from .averaging import AveragingTransform
+from .floquet_lyapunov import spectral_norm_2x2
 from .model import LinearizedSystem
-from .periodic_signal import cumulative_simpson, sup_norm
+from .periodic_signal import sup_norm
 
-__all__ = [
-    "BoundChain",
-    "compute_bound_chain",
-    "h2_nodes",
-    "c_matrix_nodes",
-    "eq19_sup",
-    "script_c_positivity",
-]
+__all__ = ["BoundChain", "compute_bound_chain"]
 
 
 @dataclass(frozen=True)
@@ -109,58 +102,3 @@ def compute_bound_chain(
         mu0=mu0,
         mu_bar_capped=capped,
     )
-
-
-def h2_nodes(ts: TransformedSystem, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H2(t,mu) = H1 int_0^t U2 + (int_0^t U2)^T H1 at the grid nodes."""
-    nodes = ts.tr.grid.nodes
-    iu2 = cumulative_simpson(ts.u2_at(nodes), ts.tr.grid.step)
-    h2 = h1 @ iu2 + np.transpose(iu2, (0, 2, 1)) @ h1
-    return nodes, h2
-
-
-def _c_nodes(ts: TransformedSystem, h1: np.ndarray):
-    nodes, h2 = h2_nodes(ts, h1)
-    u12 = ts.u1 + ts.u2_at(nodes)
-    corr = h2 @ u12 + np.transpose(u12, (0, 2, 1)) @ h2
-    c = np.eye(2) + ts.mu * corr
-    return nodes, c, h2, corr
-
-
-def c_matrix_nodes(ts: TransformedSystem, h1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Correction matrix C(t,mu) = I + mu*(H2 (U1+U2) + (U1+U2)^T H2) at the nodes."""
-    nodes, c, _, _ = _c_nodes(ts, h1)
-    return nodes, c
-
-
-def eq19_sup(ts: TransformedSystem, h1: np.ndarray) -> float:
-    """sup over grid of  mu * ||H2 (U1+U2) + (U1+U2)^T H2||.
-
-    Below 1/4 for all mu <= mu1; this is the quantity the L1 bound caps.
-    """
-    _, _, _, corr = _c_nodes(ts, h1)
-    return float(ts.mu * np.max(spectral_norm_2x2(corr)))
-
-
-def script_c_positivity(ts: TransformedSystem, h1: np.ndarray) -> tuple[bool, float]:
-    """Check the remainder-adjusted correction matrix against the I/2 floor.
-
-    From the transformed system at mu and H1, builds
-    scriptH(t,mu) = H1/mu - H2(t,mu) and
-
-        scriptC = C(t,mu) - mu^3 (scriptH U3 + U3^T scriptH),
-
-    returning (ok, min eigenvalue over the grid) with
-    ok = (min_eig >= 1/2 - 1e-9).  Guaranteed ok for mu <= mu0.
-    """
-    mu = ts.mu
-    nodes, c, h2, _ = _c_nodes(ts, h1)
-    script_h = h1[None, :, :] / mu - h2
-    u3 = ts.u3_at(nodes)
-    adj = script_h @ u3 + np.transpose(u3, (0, 2, 1)) @ script_h
-    script_c = c - mu ** 3 * adj
-    lmin, _ = sym_eig_bounds(
-        script_c[:, 0, 0], 0.5 * (script_c[:, 0, 1] + script_c[:, 1, 0]), script_c[:, 1, 1]
-    )
-    min_eig = float(np.min(lmin))
-    return (min_eig >= 0.5 - 1e-9), min_eig

@@ -314,6 +314,11 @@ def _certificate_from_flags(args) -> tuple[MathieuModel, float, Perturbation | N
     return model, mu, pert, cert
 
 
+def _dump_payload(payload: dict, args) -> None:
+    """``payload`` as ``--format`` asks: JSON, or flat CSV."""
+    (_dump_flat_csv if args.format == "csv" else _dump_json)(payload, args.out)
+
+
 def _cmd_certify(args) -> int:
     model, mu, _, cert = _certificate_from_flags(args)
     if args.dump_transform:
@@ -322,24 +327,22 @@ def _cmd_certify(args) -> int:
         _dump_lyapunov(cert.sol, args.dump_lyapunov)
     if args.dump_matrizant:
         _dump_matrizant(model, mu, args.steps, args.dump_matrizant)
-    (_dump_flat_csv if args.format == "csv" else _dump_json)(cert.payload, args.out)
+    _dump_payload(cert.payload, args)
     return cert.exit_code
 
 
 def _cmd_margins(args) -> int:
     _, mu, _, cert = _certificate_from_flags(args)
-    if cert.exit_code != 0:
-        _dump_json(cert.payload, args.out)
-        return cert.exit_code
-    payload = {
+    # outside the certified range the budgets do not exist: the certificate stands in
+    payload = cert.payload if cert.exit_code else {
         "schema": 1,
         "tool_version": __version__,
         "mu": mu,
         "h_max": cert.payload["lyapunov"]["h_max"],
         "budgets": cert.payload["budgets"],
     }
-    (_dump_flat_csv if args.format == "csv" else _dump_json)(payload, args.out)
-    return 0
+    _dump_payload(payload, args)
+    return cert.exit_code
 
 
 def _fmt(x: float) -> str:
@@ -388,12 +391,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_grid(flag: str, spec: str) -> np.ndarray:
+    """The values of a sweep grid ``flag``, refused by the flag's name unless positive."""
+    try:
+        values = parse_grid_spec(spec)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    if np.any(values <= 0.0):
+        raise ValueError(f"{flag}: sweep grids must be positive")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     model, _ = load_model(args.model)
-    mu_grid = parse_grid_spec(args.mu_grid)
-    beta_grid = parse_grid_spec(args.beta_grid)
-    if np.any(mu_grid <= 0.0) or np.any(beta_grid <= 0.0):
-        raise ValueError("sweep grids must be positive")
+    mu_grid = _sweep_grid("--mu-grid", args.mu_grid)
+    beta_grid = _sweep_grid("--beta-grid", args.beta_grid)
     lines = [
         f"# mathieu-cert sweep schema=1 tool_version={__version__}",
         "beta,mu,spectral_radius,certified_by_mu0",

@@ -33,7 +33,7 @@ explicitly:
   z = (y, y'/mu - b y), nondegenerate at every mu > 0, where the solution
   is well conditioned, and map back through the closed-form change of
   variables, keeping h_min and h_max at full relative accuracy; every
-  solution keeps that factorization, the direct solve with T = I.
+  solution keeps that factorization, with T = I in the original coordinates.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ __all__ = [
     "spectral_radius_from_deviation",
     "deviation_matrizant",
     "solve_constant_lyapunov",
-    "solve_periodic_lyapunov",
     "solve_periodic_lyapunov_scaled",
     "spectral_radius_linear_system",
-    "krein_envelope",
     "bvp_residual",
     "spectral_norm_2x2",
     "sym_eig_bounds",
@@ -310,8 +308,8 @@ class PeriodicLyapunovSolution:
 
     ``H`` holds the node values in the original (y, y') coordinates and
     ``H_z`` their factor H = T^{-T} H_z T^{-1}, T = [[1, 0], [s b, s]] with
-    s = ``z_scale``: s = mu in z = (y, y'/mu - b y), T = I for the direct
-    solve.  Quadratic forms are evaluated through ``H_z``, because the
+    s = ``z_scale``: s = mu in z = (y, y'/mu - b y), T = I in the original
+    coordinates.  Quadratic forms are evaluated through ``H_z``, because the
     direct entries lose the small eigenvalue to cancellation at small mu.
     """
 
@@ -345,9 +343,9 @@ class PeriodicLyapunovSolution:
     def hnorm_steps(self) -> np.ndarray:
         return np.maximum(self.hnorm_nodes[:-1], self.hnorm_nodes[1:])
 
-    @property
-    def hmin_steps(self) -> np.ndarray:
-        return np.minimum(self.hmin_nodes[:-1], self.hmin_nodes[1:])
+    def hmin_at(self, t):
+        _, j, _ = self._locate(t)
+        return np.minimum(self.hmin_nodes[j], self.hmin_nodes[j + 1])
 
     def _locate(self, t):
         t = np.asarray(t, dtype=float)
@@ -357,14 +355,6 @@ class PeriodicLyapunovSolution:
         j = np.clip(np.floor(s / self.step).astype(int), 0, self.n_steps - 1)
         frac = s - j * self.step
         return k, j, frac
-
-    def hnorm_at(self, t):
-        _, j, _ = self._locate(t)
-        return self.hnorm_steps[j]
-
-    def hmin_at(self, t):
-        _, j, _ = self._locate(t)
-        return self.hmin_steps[j]
 
     def step_integral(self, step_vals, t):
         """int_0^t of a per-step piecewise-constant integrand, extended T-periodically."""
@@ -461,23 +451,6 @@ def _periodic_solution(times, Z, log_det, C, b, z_scale, mu) -> PeriodicLyapunov
     )
 
 
-def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float("nan")) -> PeriodicLyapunovSolution:
-    """Positive T-periodic solution of H' + HA + A^T H = -I on the grid.
-
-    The monodromy spectrum must lie strictly inside the unit disk;
-    otherwise no positive periodic solution exists and
-    :class:`UnstableSystemError` is raised.  Direct-coordinate solve
-    (T = I), adequate while the solution's condition number is moderate,
-    and the independent reference for the change of variables; the
-    certificate pipeline uses :func:`solve_periodic_lyapunov_scaled`.
-    The Liouville value int_0^T tr A is integrated over the nodes.
-    """
-    times, Z = deviation_matrizant(A, T, n_steps)
-    trace_A = np.trace(np.broadcast_to(A(times), times.shape + (2, 2)), axis1=1, axis2=2)
-    log_det = cumulative_simpson(trace_A, T / n_steps)[-1]
-    return _periodic_solution(times, Z, log_det, (1.0, 0.0, 1.0), np.zeros_like(times), 1.0, mu)
-
-
 def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None):
     """Half-step samples of A_z = T^{-1}(A T - T'), z = T(t)^{-1} v, T = [[1, 0], [mu b, mu]].
 
@@ -514,15 +487,16 @@ def solve_periodic_lyapunov_scaled(
     mu: float,
     n_steps: int = 4096,
 ) -> PeriodicLyapunovSolution:
-    """Same solution as :func:`solve_periodic_lyapunov` for v' = A(t,mu) v,
-    computed in the coordinates z = (y, y'/mu - b y).
+    """Positive T-periodic solution of H' + HA + A^T H = -I for
+    v' = A(t,mu) v, computed in the coordinates z = (y, y'/mu - b y).
 
     With v = T(t) z, T = [[1, 0], [mu b, mu]], the v-problem with
     right-hand side -I becomes a z-problem with right-hand side -C_z,
     C_z = T^T T; its solution H_z is well conditioned for all certified mu.
     T is periodic and nondegenerate for every mu > 0, and the Liouville
     value int_0^T tr A_z is -alpha*mu*T.  Where H overflows double
-    precision (below mu = 1e-77 for the pendulum) ArithmeticError is raised.
+    precision (below mu = 1e-77 for the pendulum) ArithmeticError is raised,
+    and UnstableSystemError where no positive periodic solution exists.
     """
     times, Z = _z_deviation(lin, tr, mu, n_steps)
     sup_a21 = mu * (mu * -lin.beta_hat + math.fsum(math.hypot(c, s) for _, c, s in lin.phi_hat.harmonics))
@@ -553,27 +527,7 @@ def spectral_radius_linear_system(
 
 
 # ---------------------------------------------------------------------------
-# decay envelope and residual diagnostics
-
-
-def krein_envelope(sol: PeriodicLyapunovSolution, y0_norm_sq: float, t):
-    """Exponential decay envelope for ||y(t)||^2 along the linear flow.
-
-    envelope(t) = (||H(0)|| / h_min(t)) * ||y(0)||^2
-                  * exp( - int_0^t ds / ||H(s)|| ),
-
-    with h_min(t) and ||H(s)|| extended T-periodically from the grid and
-    interpolated piecewise-constantly in the conservative direction (max of
-    adjacent nodes for the norm, min for the smallest eigenvalue).
-    """
-    if y0_norm_sq < 0.0:
-        raise ValueError("y0_norm_sq must be >= 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("envelope is defined for t >= 0")
-    h0 = sol.hnorm_nodes[0]
-    env = (h0 / sol.hmin_at(t)) * y0_norm_sq * np.exp(-sol.step_integral(1.0 / sol.hnorm_steps, t))
-    return env if env.ndim else float(env)
+# residual diagnostics
 
 
 def bvp_residual(sol: PeriodicLyapunovSolution, A) -> float:

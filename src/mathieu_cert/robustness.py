@@ -27,7 +27,7 @@ import numpy as np
 
 from .floquet_lyapunov import PeriodicLyapunovSolution
 from .model import MathieuModel
-from .periodic_signal import PeriodicSignal, QuadratureGrid, signal_from_dict, signal_to_dict, sup_norm
+from .periodic_signal import PeriodicSignal, QuadratureGrid, signal_from_dict, sup_norm
 
 __all__ = [
     "Perturbation",
@@ -36,14 +36,12 @@ __all__ = [
     "delta_a_norm",
     "linear_budget",
     "nonlinear_budget",
-    "epsilon_fn",
     "q_of_mu",
     "q_tilde",
     "attraction_certificate",
     "decay_envelope",
     "envelope_rate_integrals",
     "sample_attraction_boundary",
-    "perturbation_to_dict",
     "perturbation_from_dict",
 ]
 
@@ -178,18 +176,6 @@ def nonlinear_budget(sol: PeriodicLyapunovSolution) -> RobustnessBudget:
     return _budget(sol, 8.0, "nonlinear")
 
 
-def epsilon_fn(sol: PeriodicLyapunovSolution, pert: Perturbation, mu: float, t):
-    """Margin function eps(t,mu) = 1 - 2 ||H(t,mu)|| ||dA(t,mu)||.
-
-    Under the nonlinear budgets eps >= 1/2 everywhere.  ||H|| is taken from
-    the conservative piecewise-constant extension, so the returned value is
-    a lower bound up to grid resolution.
-    """
-    t = np.asarray(t, dtype=float)
-    out = 1.0 - 2.0 * sol.hnorm_at(t) * delta_a_norm(pert.on_period(sol.period), mu, t)
-    return out if out.ndim else float(out)
-
-
 def q_of_mu(
     model: MathieuModel,
     pert: Perturbation | None,
@@ -237,9 +223,6 @@ class AttractionCertificate:
         in_lyapunov = bool(sol.value_at_node(0, np.array([y0, y1])) <= self.lyapunov_radius_sq)
         return in_lyapunov, self.euclid_radius is None or math.hypot(y0, y1) <= self.euclid_radius
 
-    def contains(self, sol: PeriodicLyapunovSolution, y0: float, y1: float) -> bool:
-        return all(self.membership(sol, y0, y1))
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -279,12 +262,14 @@ def attraction_certificate(
 # decay envelopes
 
 
-def _delta_norm_steps(sol: PeriodicLyapunovSolution, pert: Perturbation | None, mu: float) -> np.ndarray | float:
+def _margin_steps(sol: PeriodicLyapunovSolution, pert: Perturbation | None, mu: float):
+    """Per-step (||H||, ||dA||, eps = 1 - 2 ||H|| ||dA||), each norm the larger at the step's ends."""
+    hn, d = sol.hnorm_steps, 0.0
     pert = Perturbation.resolve(pert, sol.period)
-    if pert.is_zero and mu > 0.0:  # delta_a_norm is exactly 0 at every node; other mu reach its refusal
-        return 0.0
-    d = np.asarray(delta_a_norm(pert, mu, sol.times))
-    return np.maximum(d[:-1], d[1:])
+    if not (pert.is_zero and mu > 0.0):  # else delta_a_norm is exactly 0; other mu reach its refusal
+        d = np.asarray(delta_a_norm(pert, mu, sol.times))
+        d = np.maximum(d[:-1], d[1:])
+    return hn, d, 1.0 - 2.0 * hn * d
 
 
 def envelope_rate_integrals(
@@ -297,9 +282,7 @@ def envelope_rate_integrals(
     ``printed``       : int_0^T 1/(2||H||) ds     (informational; assumes the
                          full margin eps = 1)
     """
-    hn = sol.hnorm_steps
-    d = _delta_norm_steps(sol, pert, mu)
-    eps = 1.0 - 2.0 * hn * d
+    hn, d, eps = _margin_steps(sol, pert, mu)
     h = sol.step
     return {
         "linear": float(np.sum(h * (1.0 / hn - 2.0 * d))),
@@ -319,7 +302,9 @@ def decay_envelope(
 
     variant "linear" (perturbed linear system; ``v0_value`` is ||v(0)||^2):
 
-        (||H(0)||/h_min) ||v(0)||^2 exp(-int_0^t (1/||H|| - 2||dA||) ds)
+        (||H(0)||/h_min(t)) ||v(0)||^2 exp(-int_0^t (1/||H|| - 2||dA||) ds)
+
+    as ||v(t)||^2 <= psi(t)/h_min(t): Krein's bound when dA = 0 (Daleckii & Krein, AMS 1974).
 
     variant "nonlinear" (perturbed nonlinear system started inside the
     attraction set; ``v0_value`` is <H(0,mu) v(0), v(0)>):
@@ -345,13 +330,11 @@ def decay_envelope(
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("envelope defined for t >= 0")
-    hn = sol.hnorm_steps
-    d = _delta_norm_steps(sol, pert, sol.mu)
+    hn, d, eps = _margin_steps(sol, pert, sol.mu)
     if variant == "linear":
         integrand = 1.0 / hn - 2.0 * d
-        pref = sol.hnorm_nodes[0] / sol.h_min * v0_value
+        pref = sol.hnorm_nodes[0] / sol.hmin_at(t) * v0_value
     elif variant == "nonlinear":
-        eps = 1.0 - 2.0 * hn * d
         if np.any(eps <= 0.0):
             raise ValueError("eps(t,mu) <= 0: perturbation outside the nonlinear budgets")
         integrand = eps / (2.0 * hn)
@@ -395,15 +378,6 @@ def sample_attraction_boundary(
         cap = cert.euclid_radius * (1.0 - 1e-12)  # nudged inside as the level is
         v = v * (cap / np.maximum(np.hypot(v[:, 0], v[:, 1]), cap))[:, None]
     return v
-
-
-def perturbation_to_dict(pert: Perturbation) -> dict:
-    d: dict = {"d_alpha": pert.d_alpha, "d_beta": pert.d_beta}
-    if pert.d_phi is not None or pert.d_phi_offset != 0.0:
-        dphi = signal_to_dict(pert.d_phi) if pert.d_phi is not None else {"period": None, "harmonics": []}
-        dphi["offset"] = pert.d_phi_offset
-        d["d_phi"] = dphi
-    return d
 
 
 def perturbation_from_dict(d: dict, model: MathieuModel) -> Perturbation:

@@ -6,8 +6,12 @@ from functools import partial
 import mpmath
 import numpy as np
 
-from mathieu_cert.averaging import AveragingTransform
-from mathieu_cert.model import Nonlinearity, matrices_2x2
+from mathieu_cert.averaging import AveragingTransform, TransformedSystem
+from mathieu_cert.floquet_lyapunov import PeriodicLyapunovSolution, _periodic_solution, deviation_matrizant
+from mathieu_cert.model import LinearizedSystem, Nonlinearity, matrices_2x2
+from mathieu_cert.periodic_signal import QuadratureGrid, cumulative_simpson, signal_to_dict
+from mathieu_cert.robustness import Perturbation
+from mathieu_cert.simulate import OdeSystem
 
 
 def truncated_lyapunov_sum(M: np.ndarray, Q: np.ndarray, doublings: int) -> np.ndarray:
@@ -24,6 +28,73 @@ def truncated_lyapunov_sum(M: np.ndarray, Q: np.ndarray, doublings: int) -> np.n
         s = s + mk.T @ s @ mk
         mk = mk @ mk
     return s
+
+
+def solve_periodic_lyapunov(A, T: float, n_steps: int = 4096, mu: float = float("nan")) -> PeriodicLyapunovSolution:
+    """Positive T-periodic solution of H' + HA + A^T H = -I on the grid.
+
+    The monodromy spectrum must lie strictly inside the unit disk;
+    otherwise no positive periodic solution exists and
+    ``UnstableSystemError`` is raised.  Direct-coordinate solve (T = I),
+    adequate while the solution's condition number is moderate, and the
+    independent reference for the change of variables of
+    ``solve_periodic_lyapunov_scaled``.  The Liouville value int_0^T tr A is
+    integrated over the nodes.
+    """
+    times, Z = deviation_matrizant(A, T, n_steps)
+    trace_A = np.trace(np.broadcast_to(A(times), times.shape + (2, 2)), axis1=1, axis2=2)
+    log_det = cumulative_simpson(trace_A, T / n_steps)[-1]
+    return _periodic_solution(times, Z, log_det, (1.0, 0.0, 1.0), np.zeros_like(times), 1.0, mu)
+
+
+def correction_matrices(ts: TransformedSystem, h1: np.ndarray, grid: QuadratureGrid):
+    """Criterion 7's matrices at the nodes of ``grid``: (nodes, H2, C, corr, scriptC).
+
+    H2(t,mu) = H1 int_0^t U2 + (int_0^t U2)^T H1, the running integral by
+    cumulative Simpson; corr = H2 (U1+U2) + (U1+U2)^T H2, whose sup times mu
+    the L1 bound caps at 1/4 for mu <= mu1; C = I + mu corr >= 3/4 I there;
+    and scriptC = C - mu^3 (scriptH U3 + U3^T scriptH) with
+    scriptH = H1/mu - H2, >= I/2 for mu <= mu0.
+    """
+    mu, nodes = ts.mu, grid.nodes
+    u2 = ts.u2_at(nodes)
+    iu2 = cumulative_simpson(u2, grid.step)
+    h2 = h1 @ iu2 + np.transpose(iu2, (0, 2, 1)) @ h1
+    u12 = ts.u1 + u2
+    corr = h2 @ u12 + np.transpose(u12, (0, 2, 1)) @ h2
+    c = np.eye(2) + mu * corr
+    script_h = h1[None, :, :] / mu - h2
+    u3 = ts.u3_at(nodes)
+    script_c = c - mu ** 3 * (script_h @ u3 + np.transpose(u3, (0, 2, 1)) @ script_h)
+    return nodes, h2, c, corr, script_c
+
+
+def _identity(y):
+    return y
+
+
+def linear_system(lin: LinearizedSystem, mu: float, pert: Perturbation | None = None) -> OdeSystem:
+    """y'' + (alpha+da) mu y' + ((beta_hat+db_hat) mu^2 + mu (phi_hat+dphi_hat)(t)) y = 0."""
+    pert = Perturbation.resolve(pert, lin.period)
+    bm2 = (lin.beta_hat + pert.d_beta_hat) * mu * mu
+    return OdeSystem(
+        damping=(lin.alpha + pert.d_alpha) * mu,
+        coef=lambda t: bm2 + mu * (lin.phi_hat.eval(t) + pert.d_phi_hat_eval(t)),
+        g=_identity,
+        period=lin.period,
+        mu=mu,
+        tag="linear" if pert.is_zero else "perturbed_linear",
+    )
+
+
+def perturbation_to_dict(pert: Perturbation) -> dict:
+    """The inverse of ``perturbation_from_dict``."""
+    d: dict = {"d_alpha": pert.d_alpha, "d_beta": pert.d_beta}
+    if pert.d_phi is not None or pert.d_phi_offset != 0.0:
+        dphi = signal_to_dict(pert.d_phi) if pert.d_phi is not None else {"period": None, "harmonics": []}
+        dphi["offset"] = pert.d_phi_offset
+        d["d_phi"] = dphi
+    return d
 
 
 def s_matrix(tr: AveragingTransform, mu: float, t) -> np.ndarray:

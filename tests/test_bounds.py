@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from mathieu_cert.averaging import build_transform, build_u1, build_u2_u3
-from mathieu_cert.bounds import (
-    c_matrix_nodes,
-    compute_bound_chain,
-    eq19_sup,
-    h2_nodes,
-    script_c_positivity,
-)
+from mathieu_cert.bounds import compute_bound_chain
 from mathieu_cert.floquet_lyapunov import (
     deviation_matrizant,
     solve_constant_lyapunov,
@@ -22,6 +16,7 @@ from mathieu_cert.model import LinearizedSystem, system_matrix_entries
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
 
 from conftest import TWO_PI
+from oracles import correction_matrices
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 GRID = QuadratureGrid(TWO_PI, 2048)
@@ -112,9 +107,9 @@ class TestBoundChain:
 
 
 class TestCorrectionMatrices:
-    def test_c_at_zero_is_identity(self, lin, transform, h1):
+    def test_c_at_zero_is_identity(self, lin, transform, h1, grid):
         ts = build_u2_u3(lin, transform, 1e-4)
-        nodes, c = c_matrix_nodes(ts, h1)
+        _, _, c, _, _ = correction_matrices(ts, h1, grid)
         np.testing.assert_allclose(c[0], np.eye(2), atol=1e-14)
 
     def test_zero_forcing_keeps_identity(self):
@@ -125,45 +120,45 @@ class TestCorrectionMatrices:
         tr = build_transform(lin, GRID)
         h1 = solve_constant_lyapunov(np.array([[0.0, 1.0], [-1.0, -2.0]]))
         ts = build_u2_u3(lin, tr, 0.1)
-        _, c = c_matrix_nodes(ts, h1)
+        _, _, c, _, _ = correction_matrices(ts, h1, GRID)
         assert np.max(np.abs(c - np.eye(2))) < 1e-12
 
-    def test_correction_stays_small_at_mu1(self, lin, transform, h1, chain):
+    def test_correction_stays_small_at_mu1(self, lin, transform, h1, chain, grid):
         ts = build_u2_u3(lin, transform, chain.mu1)
-        assert eq19_sup(ts, h1) <= 0.25 + 1e-9
+        _, _, _, corr, _ = correction_matrices(ts, h1, grid)
+        assert ts.mu * np.max(spectral_norm_2x2(corr)) <= 0.25 + 1e-9
 
     @pytest.mark.parametrize("which", ["mu1", "mu0"])
-    def test_c_floor(self, lin, transform, h1, chain, which):
+    def test_c_floor(self, lin, transform, h1, chain, grid, which):
         mu = getattr(chain, which)
         ts = build_u2_u3(lin, transform, mu)
-        _, c = c_matrix_nodes(ts, h1)
+        _, _, c, _, _ = correction_matrices(ts, h1, grid)
         eigs = np.linalg.eigvalsh(c)
         assert eigs.min() > 0.75 - 1e-9
 
     @pytest.mark.parametrize("frac", [0.1, 0.5, 1.0])
-    def test_script_c_floor(self, lin, transform, h1, chain, frac):
+    def test_script_c_floor(self, lin, transform, h1, chain, grid, frac):
         ts = build_u2_u3(lin, transform, frac * chain.mu0)
-        ok, min_eig = script_c_positivity(ts, h1)
-        assert ok, min_eig
-        assert min_eig >= 0.5 - 1e-9
+        *_, script_c = correction_matrices(ts, h1, grid)
+        min_eig = np.linalg.eigvalsh(script_c).min()
+        assert min_eig >= 0.5 - 1e-9, min_eig
 
-    def test_h2_vanishes_at_zero(self, lin, transform, h1):
+    def test_h2_vanishes_at_zero(self, lin, transform, h1, grid):
         ts = build_u2_u3(lin, transform, 1e-4)
-        _, h2 = h2_nodes(ts, h1)
+        _, h2, _, _, _ = correction_matrices(ts, h1, grid)
         np.testing.assert_allclose(h2[0], np.zeros((2, 2)), atol=1e-15)
 
-    def test_explicit_solution_satisfies_transformed_bvp(self, lin, transform, h1, chain):
+    def test_explicit_solution_satisfies_transformed_bvp(self, lin, transform, h1, chain, grid):
         # scriptH = H1/mu - H2 solves d/dt scriptH + mu scriptH (U1+U2)
         # + mu (U1+U2)^T scriptH = -C(t,mu) by construction; checking the
         # residual on the grid ties H2, C and the cumulative integrals
         # together through one identity
         mu = chain.mu0
         ts = build_u2_u3(lin, transform, mu)
-        nodes, h2 = h2_nodes(ts, h1)
-        _, c = c_matrix_nodes(ts, h1)
+        nodes, h2, c, _, _ = correction_matrices(ts, h1, grid)
         script_h = h1[None, :, :] / mu - h2
         u12 = ts.u1 + ts.u2_at(nodes)
-        h = transform.grid.step
+        h = grid.step
         d_script = (script_h[2:] - script_h[:-2]) / (2.0 * h)
         mid_h, mid_u, mid_c = script_h[1:-1], u12[1:-1], c[1:-1]
         residual = (
@@ -182,13 +177,13 @@ class TestCorrectionMatrices:
 
 class TestNormBounds:
     @pytest.mark.parametrize("frac", [1.0 / 3.0, 1.0])
-    def test_u2_u3_dominated(self, lin, transform, chain, frac):
+    def test_u2_u3_dominated(self, lin, transform, chain, grid, frac):
         mu = frac * chain.mu_bar
         ts = build_u2_u3(lin, transform, mu)
         t, phi_max, a = TWO_PI, chain.phi_max, chain.a_const
         u2_bound = (1.0 + a + t) * (0.5 + phi_max * t)
         u3_bound = phi_max ** 2 * t ** 4 / 2.0 * (1.0 + phi_max * t)
-        nodes = transform.grid.nodes
+        nodes = grid.nodes
         u2 = ts.u2_at(nodes)
         u3 = ts.u3_at(nodes)
         assert max(spectral_norm_2x2(m) for m in u2) <= u2_bound + 1e-9

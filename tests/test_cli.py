@@ -198,8 +198,13 @@ class TestMargins:
         assert lin["budget_phi_sup"] == pytest.approx(2.0 * nonlin["budget_phi_sup"])
         assert payload["h_max"] > 0.0
 
-    def test_outside_range(self, model_file, capsys):
-        assert main(["margins", "--model", model_file, "--mu", "0.01"]) == 2
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_outside_range(self, fmt, model_file, capsys):
+        # the certificate stands in for the budgets, in the format asked for
+        assert main(["margins", "--model", model_file, "--mu", "0.01", "--format", fmt]) == 2
+        margins = capsys.readouterr().out
+        assert main(["certify", "--model", model_file, "--mu", "0.01", "--format", fmt]) == 2
+        assert margins == capsys.readouterr().out
 
     def test_zero_damping_rejected(self, tmp_path):
         path = write_model(tmp_path, alpha=0.0)
@@ -407,6 +412,9 @@ def _non_finite_argv(case, model_file, tmp_path):
     if case == "y0_nan":
         return ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "nan",
                 "--y1", "0", "--t-end", "6.5"]
+    if case == "y0_huge":  # a start past the divergence cutoff printed NaN
+        return ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "1e200",
+                "--y1", "0", "--t-end", "1"]
     if case == "t_end_inf":
         return ["simulate", "--model", model_file, "--mu", "7e-8", "--y0", "0",
                 "--y1", "0", "--t-end", "inf", "--steps", "1024"]
@@ -415,7 +423,8 @@ def _non_finite_argv(case, model_file, tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["mu_inf", "harmonic_nan", "pert_nan", "rho_nan", "rho_inf", "y0_nan", "t_end_inf", "sweep_inf"],
+    ["mu_inf", "harmonic_nan", "pert_nan", "rho_nan", "rho_inf", "y0_nan", "y0_huge", "t_end_inf",
+     "sweep_inf"],
 )
 def test_non_finite_input_is_exit_1(case, model_file, tmp_path, capsys):
     # each of these used to give a certificate or a chart row built on nan

@@ -17,10 +17,8 @@ from mathieu_cert.floquet_lyapunov import (
     _z_generator,
     bvp_residual,
     deviation_matrizant,
-    krein_envelope,
     matrizant,
     solve_constant_lyapunov,
-    solve_periodic_lyapunov,
     solve_periodic_lyapunov_scaled,
     spectral_norm_2x2,
     spectral_radius_from_deviation,
@@ -35,11 +33,11 @@ from mathieu_cert.periodic_signal import (
     cumulative_simpson,
     half_step_grid,
 )
-from mathieu_cert.robustness import Perturbation
-from mathieu_cert.simulate import integrate_batch, linear_system, verify_envelope
+from mathieu_cert.robustness import Perturbation, decay_envelope
+from mathieu_cert.simulate import integrate_batch, verify_envelope
 
 from conftest import TWO_PI
-from oracles import hill_exponents, stein_solution_mp, truncated_lyapunov_sum
+from oracles import hill_exponents, linear_system, solve_periodic_lyapunov, stein_solution_mp, truncated_lyapunov_sum
 
 SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 # zero or within six decades of the scale, so that no product underflows;
@@ -791,23 +789,34 @@ class TestPeriodicLyapunov:
         assert z[-1, 0, 0] > 0.0
 
 
-class TestKreinEnvelope:
+class TestLinearEnvelope:
+    """decay_envelope(..., "linear") with the zero perturbation: Krein's bound."""
+
     def test_constant_case_exact(self):
-        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
+        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024, mu=1.0)
         t = np.array([0.0, 0.3, 1.0, 2.7, 9.9])
         np.testing.assert_allclose(
-            krein_envelope(sol, 1.0, t), np.exp(-2.0 * t), atol=1e-8
+            decay_envelope(sol, None, 1.0, t, "linear"), np.exp(-2.0 * t), atol=1e-8
         )
 
+    @pytest.mark.parametrize("which", ["sol_small_mu", "sol_moderate_mu"])
+    def test_is_kreins_formula(self, which, request):
+        # (||H(0)||/h_min(t)) |v0|^2 exp(-int_0^t ds/||H||), bit for bit
+        sol = request.getfixturevalue(which)
+        t = np.linspace(0.0, 7.5 * TWO_PI, 41)
+        h0, y0sq = sol.hnorm_nodes[0], 0.7
+        want = (h0 / sol.hmin_at(t)) * y0sq * np.exp(-sol.step_integral(1.0 / sol.hnorm_steps, t))
+        assert decay_envelope(sol, None, y0sq, t, "linear").tobytes() == want.tobytes()
+
     def test_dominates_initial_value(self, sol_moderate_mu):
-        assert krein_envelope(sol_moderate_mu, 1.0, 0.0) >= 1.0
+        assert decay_envelope(sol_moderate_mu, None, 1.0, 0.0, "linear") >= 1.0
 
     def test_zero_start(self, sol_moderate_mu):
-        assert krein_envelope(sol_moderate_mu, 0.0, 5.0) == 0.0
+        assert decay_envelope(sol_moderate_mu, None, 0.0, 5.0, "linear") == 0.0
 
     def test_negative_time_rejected(self, sol_moderate_mu):
         with pytest.raises(ValueError):
-            krein_envelope(sol_moderate_mu, 1.0, -1.0)
+            decay_envelope(sol_moderate_mu, None, 1.0, -1.0, "linear")
 
     def test_trajectories_stay_below(self, lin, sol_moderate_mu):
         # moderate mu shows real decay; 20 random starts over 20 periods
@@ -817,7 +826,9 @@ class TestKreinEnvelope:
         trajs = integrate_batch(system, inits, 20 * TWO_PI, 1024, record_stride=16)
         for traj in trajs:
             y0sq = float(traj.states[0] @ traj.states[0])
-            report = verify_envelope(traj, lambda t: krein_envelope(sol_moderate_mu, y0sq, t))
+            report = verify_envelope(
+                traj, lambda t: decay_envelope(sol_moderate_mu, None, y0sq, t, "linear")
+            )
             assert report.passed, report
 
 

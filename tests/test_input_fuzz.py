@@ -1,9 +1,13 @@
-"""Fuzz of model and perturbation files through ``certify`` and ``sweep``.
+"""Fuzz of model and perturbation files through ``certify`` and ``sweep``, and
+of the grid flags of ``sweep`` and the state, horizon and stride flags of
+``simulate``.
 
 Each drawn file may carry faults the reader must refuse by name: a field its
 ``f`` kind ignores, an unknown key in ``f`` or in a harmonic entry, a ``gamma``
 off its stationary point or with f'(gamma) >= 0, and a ``d_phi`` of another
-period.  Amplitudes lie in [1e-3, 1e3]; overflow has its own tests.
+period.  Amplitudes lie in [1e-3, 1e3]; overflow has its own tests.  A faulty
+flag value must be refused by the flag's name.  Grids hold at most 8 values
+and horizons at most 3 periods: a grid's size is allocated before any check.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from mathieu_cert.cli import load_model, main
 
 from conftest import TWO_PI
+from test_cli import PEND
 
 MAGNITUDE = st.floats(1e-3, 1e3) | st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-3, 2))
 AMPLITUDE = st.builds(lambda a, s: s * a, MAGNITUDE, st.sampled_from([-1.0, 1.0]))
@@ -163,3 +168,85 @@ def test_files_are_refused_by_name_or_certified_finitely(tmp_path, model, pert, 
         unbounded = payload["nonlinearity"]["q_mu"] == 0.0
         allowed = [".attraction.lyapunov_radius_sq"] if unbounded else []
         assert [p for p in _non_finite(payload) if p not in allowed] == []
+
+
+# grid values by kind: "large" may overflow the propagation, which is refused
+# by name; "nonpos" is refused where a grid value must be positive
+GRID_VALUES = {"ok": ["1e-12", "7e-8", "1e-3", "0.25", "0.6", "2", "10"], "large": ["1e3", "1e150", "1e300"],
+               "nonpos": ["0", "-1e-3", "-0.0"], "bad": ["nan", "inf", "-inf", "abc", "1e-3x", ""]}
+NUMBER = st.sampled_from(["ok"] * 7 + ["large", "nonpos", "bad"]).flatmap(
+    lambda kind: st.tuples(st.sampled_from(GRID_VALUES[kind]), st.just(kind)))
+COUNT = st.sampled_from(["1", "3", "8"] * 4 + ["0", "-2", "2.5", "x"])
+
+
+def _flag_value(good, faulty):
+    """(text, fault), a faulty value in about one draw of five."""
+    return st.sampled_from([False] * 4 + [True]).flatmap(
+        lambda fault: st.tuples(faulty if fault else good, st.just(fault)))
+
+
+@st.composite
+def grid_specs(draw):
+    """(spec, fault) for --mu-grid or --beta-grid."""
+    kind = draw(st.sampled_from(["literal", "lin", "log"] * 3 + ["parts"]))
+    if kind == "parts":
+        return draw(st.sampled_from(["lin:1:2", "log:1e-3:1:2:3", "lin:"])), True
+    if kind == "literal":
+        parts = draw(st.lists(NUMBER, max_size=4))
+        return ",".join(t for t, _ in parts), any(k in ("nonpos", "bad") for t, k in parts if t)
+    (a, ka), (b, kb), n = draw(NUMBER), draw(NUMBER), draw(COUNT)
+    # a one-point linspace holds its start only
+    stop_fault = kb == "bad" or (kb == "nonpos" and (kind == "log" or n != "1"))
+    return f"{kind}:{a}:{b}:{n}", ka in ("nonpos", "bad") or stop_fault or n not in ("1", "3", "8")
+
+
+@given(grid_specs(), grid_specs())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sweep_grids_are_refused_by_flag_or_charted(tmp_path, mu_grid, beta_grid):
+    (tmp_path / "model.json").write_text(json.dumps(PEND))
+    flags = {"--mu-grid": mu_grid, "--beta-grid": beta_grid}
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--model", str(tmp_path / "model.json"), "--steps", "256", "--out", str(out)]
+    code, err = _run(argv + [f"{flag}={spec}" for flag, (spec, _) in flags.items()])
+    event(f"sweep exit {code}")
+    faults = [flag for flag, (_, fault) in flags.items() if fault]
+    if faults:
+        assert code == 1 and any(flag in err for flag in faults), (err, faults)
+    elif code == 1:  # a huge mu or beta
+        assert "overflows" in err, err
+    else:
+        assert code == 0 and "nan" not in out.read_text(), err
+
+
+STATE = _flag_value(st.sampled_from(["0", "1e-3", "-0.5", "1e12", "-1e12", "5e-324"]),
+                    st.sampled_from(["1.0000001e12", "-1e200", "1e308", "nan", "-inf"]))
+T_END = _flag_value(st.floats(1e-6, 3.0 * TWO_PI).map(repr), st.sampled_from(["0", "-1", "nan", "inf", "1e300"]))
+STRIDE = _flag_value(st.sampled_from(["1", "7", "16", "100000"]), st.sampled_from(["0", "-3", "2.5"]))
+
+
+@given(STATE, STATE, T_END, STRIDE)
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_simulate_flags_are_refused_by_name_or_run_finitely(tmp_path, y0, y1, t_end, stride):
+    (tmp_path / "model.json").write_text(json.dumps(PEND))
+    flags = {"--y0": y0, "--y1": y1, "--t-end": t_end, "--stride": stride}
+    out = tmp_path / "out.csv"
+    argv = ["simulate", "--model", str(tmp_path / "model.json"), "--mu", "7e-8", "--steps", "256",
+            "--out", str(out)]
+    code, err = _run(argv + [f"{flag}={value}" for flag, (value, _) in flags.items()])
+    event(f"simulate exit {code}")
+    # the simulator's refusals name its parameters, argparse's the flags
+    names = {"--y0": "initial state", "--y1": "initial state", "--t-end": "t_end", "--stride": "stride"}
+    faults = [flag for flag, (_, fault) in flags.items() if fault]
+    if faults:
+        assert code == 1 and any(flag in err or names[flag] in err for flag in faults), (err, faults)
+        return
+    assert code == 0, err
+    text = out.read_text()
+    header = dict(kv.split("=") for line in text.splitlines() if line.startswith("# ")
+                  for kv in line[2:].split() if "=" in kv)
+    assert math.isfinite(float(header["initial_lyapunov_value"])), header
+    rows = [line.split(",") for line in text.splitlines()[7:]]
+    columns = 6 if header["envelope_certified"] == "true" else 4  # else envelope and margin are NaN
+    assert all(math.isfinite(float(x)) for row in rows for x in row[:columns])

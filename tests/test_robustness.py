@@ -4,23 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mathieu_cert.floquet_lyapunov import (
-    PeriodicLyapunovSolution,
-    solve_periodic_lyapunov,
-    spectral_radius_linear_system,
-)
+from mathieu_cert.floquet_lyapunov import PeriodicLyapunovSolution, spectral_radius_linear_system
 from mathieu_cert.periodic_signal import PeriodicSignal, QuadratureGrid
 from mathieu_cert.robustness import (
     Perturbation,
+    _margin_steps,
     attraction_certificate,
     decay_envelope,
     delta_a_norm,
     envelope_rate_integrals,
-    epsilon_fn,
     linear_budget,
     nonlinear_budget,
     perturbation_from_dict,
-    perturbation_to_dict,
     q_of_mu,
     q_tilde,
     sample_attraction_boundary,
@@ -29,7 +24,7 @@ from mathieu_cert.simulate import integrate_batch, nonlinear_system, verify_enve
 from mathieu_cert.model import shift_to_zero, system_matrix_entries
 
 from conftest import TWO_PI
-from oracles import boundary_samples_per_row, polished_extrema
+from oracles import boundary_samples_per_row, perturbation_to_dict, polished_extrema, solve_periodic_lyapunov
 
 GRID = QuadratureGrid(TWO_PI, 2048)
 EPS = 2.0 ** -52
@@ -119,18 +114,23 @@ class TestBudgets:
 
 
 class TestEpsilon:
+    """The per-step margin eps = 1 - 2 ||H|| ||dA|| that both envelopes read."""
+
     def test_unperturbed(self):
-        assert epsilon_fn(constant_sol(3.0), Perturbation.zero(), 0.01, 1.0) == 1.0
+        _, d, eps = _margin_steps(constant_sol(3.0), Perturbation.zero(), 0.01)
+        assert d == 0.0 and np.all(eps == 1.0)
 
     def test_half(self):
         sol = constant_sol(2.0, mu=0.01)
         pert = offset_pert(12.5)  # ||dA|| = 0.125, 2*2*0.125 = 1/2
-        assert epsilon_fn(sol, pert, sol.mu, 0.3) == pytest.approx(0.5, rel=1e-13)
+        _, _, eps = _margin_steps(sol, pert, sol.mu)
+        np.testing.assert_allclose(eps, 0.5, rtol=1e-13)
 
     def test_point_eight(self):
         sol = constant_sol(1.0, mu=0.01)
         pert = offset_pert(10.0)  # ||dA|| = 0.1
-        assert epsilon_fn(sol, pert, sol.mu, 2.0) == pytest.approx(0.8, rel=1e-13)
+        _, _, eps = _margin_steps(sol, pert, sol.mu)
+        np.testing.assert_allclose(eps, 0.8, rtol=1e-13)
 
 
 class TestQ:
@@ -204,16 +204,16 @@ class TestAttraction:
     def test_linear_limit_unbounded(self):
         cert = attraction_certificate(constant_sol(2.0), q_mu=0.0, p=0.0)
         assert math.isinf(cert.lyapunov_radius_sq)
-        assert cert.contains(constant_sol(2.0), 1e6, -1e6)
+        assert all(cert.membership(constant_sol(2.0), 1e6, -1e6))
 
     def test_membership(self):
         sol = constant_sol(1.0)
         cert = attraction_certificate(sol, q_mu=0.125, p=1.0, rho=1.0)
         # radius_sq = 1/(64*1*(1/8)^2) = 1; euclid radius = 1/4
         assert cert.lyapunov_radius_sq == pytest.approx(1.0, rel=1e-14)
-        assert cert.contains(sol, 0.1, 0.1)
-        assert not cert.contains(sol, 0.9, 0.9)  # lyapunov value 1.62 > 1
-        assert not cert.contains(sol, 0.3, 0.0)  # euclid 0.3 > 0.25
+        assert all(cert.membership(sol, 0.1, 0.1))
+        assert not all(cert.membership(sol, 0.9, 0.9))  # lyapunov value 1.62 > 1
+        assert not all(cert.membership(sol, 0.3, 0.0))  # euclid 0.3 > 0.25
 
     def test_membership_flags(self):
         sol = constant_sol(1.0)
@@ -228,7 +228,7 @@ class TestAttraction:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the quadratic form
             assert math.isnan(sol_small_mu.value_at_node(0, np.array([1e200, 0.0])))
             assert cert.membership(sol_small_mu, 1e200, 0.0) == (False, True)
-            assert not cert.contains(sol_small_mu, 1e200, 0.0)
+            assert not all(cert.membership(sol_small_mu, 1e200, 0.0))
 
 
 class TestDecayEnvelope:
@@ -277,7 +277,7 @@ class TestDecayEnvelope:
             d = np.maximum(d[:-1], d[1:])
             eps = 1.0 - 2.0 * hn * d
             expected = {
-                "linear": sol.hnorm_nodes[0] / sol.h_min * 0.7
+                "linear": sol.hnorm_nodes[0] / sol.hmin_at(t) * 0.7
                 * np.exp(-sol.step_integral(1.0 / hn - 2.0 * d, t)),
                 "nonlinear": 4.0 / sol.h_min * 0.7
                 * np.exp(-sol.step_integral(eps / (2.0 * hn), t)),
@@ -312,7 +312,9 @@ class TestOnCertifiedPendulum:
         sup = 0.99 * b.budget_phi_sup / sol.mu
         pert = Perturbation.for_model(pendulum_model, d_phi_offset=-sup)
         assert b.is_admissible(pert)
-        eps = epsilon_fn(sol, pert, sol.mu, sol.times)
+        _, d, eps = _margin_steps(sol, pert, sol.mu)
+        # the budgets' two terms sum to a bound of sup ||dA|| over the period
+        assert np.all(d <= sum(b.terms(pert)))
         assert float(np.min(eps)) >= 0.5 - 1e-9
 
     def test_perturbed_monodromy_stays_stable(self, pendulum_model, lin, transform, sol_small_mu):
@@ -368,7 +370,7 @@ class TestOnCertifiedPendulum:
         )
         assert system.tag == "perturbed_nonlinear"
         trajs = integrate_batch(system, inits, 10 * TWO_PI, 1024, record_stride=16)
-        eps_floor = float(np.min(epsilon_fn(sol, pert, sol.mu, sol.times)))
+        eps_floor = float(np.min(_margin_steps(sol, pert, sol.mu)[2]))
         assert eps_floor >= 0.5 - 1e-9
         for traj in trajs:
             psi0 = sol.value_at_node(0, traj.states[0])
@@ -390,7 +392,7 @@ class TestOnCertifiedPendulum:
         q = q_of_mu(pendulum_model, None, p, sol.mu, GRID)
         cert = attraction_certificate(sol, q, p, rho=0.5)
         inits = sample_attraction_boundary(sol, cert, 1, rng=np.random.default_rng(1))
-        assert cert.contains(sol, inits[0, 0], inits[0, 1])
+        assert all(cert.membership(sol, inits[0, 0], inits[0, 1]))
         system = nonlinear_system(
             pendulum_model.alpha, pendulum_model.beta, pendulum_model.phi, g, sol.mu
         )
@@ -444,7 +446,7 @@ class TestOnCertifiedPendulum:
             assert np.all(np.hypot(far[:, 0], far[:, 1]) > cert.euclid_radius)
             np.testing.assert_allclose(np.hypot(got[:, 0], got[:, 1]), cert.euclid_radius,
                                        rtol=2e-12)
-            assert all(cert.contains(sol, *v) for v in got)
+            assert all(all(cert.membership(sol, *v)) for v in got)
 
 
 class TestPerturbationIO:
@@ -468,7 +470,6 @@ class TestPerturbationIO:
             lambda: spectral_radius_linear_system(lin, transform, 0.01, 1024, pert),
             lambda: decay_envelope(sol, pert, 1.0, [0.0, 1.0], "linear"),
             lambda: envelope_rate_integrals(sol, pert, mu),
-            lambda: epsilon_fn(sol, pert, mu, 0.5),
             lambda: q_of_mu(pendulum_model, pert, 1.0, mu, GRID),
             lambda: pert.on_period(TWO_PI),
         ):

@@ -3,21 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_cert.floquet_lyapunov import matrizant, solve_periodic_lyapunov
+from mathieu_cert.floquet_lyapunov import matrizant
 from mathieu_cert.model import Nonlinearity, shift_to_zero, system_matrix_entries
 from mathieu_cert.periodic_signal import PeriodicSignal
-from mathieu_cert.robustness import Perturbation
+from mathieu_cert.robustness import Perturbation, decay_envelope
 from mathieu_cert.simulate import (
     Trajectory,
     integrate,
     integrate_batch,
-    linear_system,
     nonlinear_system,
     verify_envelope,
 )
 
 from conftest import TWO_PI
-from oracles import batch_rk4_separate_arrays, nonlinearity_value_from_zeros
+from oracles import batch_rk4_separate_arrays, linear_system, nonlinearity_value_from_zeros, solve_periodic_lyapunov
 from test_robustness import constant_sol
 
 
@@ -67,6 +66,11 @@ class TestRk4:
             integrate(oscillator(), 1.0, 0.0, np.inf, 512)
         with pytest.raises(ValueError, match="finite"):
             integrate_batch(oscillator(), [[0.0, 1.0], [0.0, np.inf]], 1.0, 512)
+        # a start past the divergence cutoff refuses the whole batch
+        with pytest.raises(ValueError, match=r"cutoff 1e\+12, got \[\[0\.0, 1\.0\], \[1e\+200, 0\.0\]\]$"):
+            integrate_batch(oscillator(), [[0.0, 1.0], [1e200, 0.0]], 1.0, 512)
+        with pytest.raises(ValueError, match="t_end must be finite and span fewer than 2"):
+            integrate(oscillator(), 1.0, 0.0, 1e300, 512)
 
 
 class TestAgainstMatrizant:
@@ -405,13 +409,11 @@ class TestVerifyEnvelope:
 
     def test_exact_constant_case(self):
         # the exact flow exp(-t) v0 of A = -I decays exactly like its envelope
-        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024)
+        sol = solve_periodic_lyapunov(lambda t: -np.eye(2), 1.0, 1024, mu=1.0)
         times = np.linspace(0.0, 5.0, 161)
         states = np.exp(-times)[:, None] * np.array([0.6, -0.8])
         traj = Trajectory(times=times, states=states, mu=0.0, system_tag="linear")
-        from mathieu_cert.floquet_lyapunov import krein_envelope
-
-        report = verify_envelope(traj, lambda t: krein_envelope(sol, 1.0, t))
+        report = verify_envelope(traj, lambda t: decay_envelope(sol, None, 1.0, t, "linear"))
         assert report.passed
         assert report.max_ratio == pytest.approx(1.0, abs=1e-6)
 
