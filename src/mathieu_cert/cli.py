@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -461,6 +462,12 @@ def _dump_matrizant(model: MathieuModel, mu: float, steps: int, path: str) -> No
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option, so "--y0 -1e-3" lacked its value;
+        # no option of this parser looks like a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage errors, which collides with the
     # "outside certified range" status; remap to the input-error code
     def error(self, message):

@@ -477,7 +477,8 @@ def _z_deviation(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_ste
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps, pert), lin.period, n_steps, **kw)
     if not np.all(np.isfinite(Z[-1])):
-        raise ArithmeticError(f"the propagation overflows at mu={mu} with {n_steps} steps per period")
+        raise ArithmeticError(f"the propagation overflows at mu={mu}, beta_hat={lin.beta_hat} "
+                              f"with {n_steps} steps per period")
     return times, Z
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,36 +69,62 @@ class Nonlinearity:
         if self.scale == 0.0:
             raise ValueError("scale must be nonzero")
 
-    @cached_property
-    def _array_constants(self):
-        # Horner from x * (0.0 + c_last) equals Horner from zeros bit for bit, -0.0 included
+    def kernel(self, shape=None):
+        """f resolved once for a loop that evaluates it many times.
+
+        With no ``shape``, a function of one Python float returning f(y).  With an
+        array shape, a pair ``(k, sign)``: ``k(y, out)`` writes ``sign * f(y)`` into
+        ``out`` of that shape and returns it, with 0-d array constants (cheaper numpy
+        operands than floats) and no other allocation.  ``sign`` is -1.0 only for a
+        sine of scale -1, whose kernel skips the multiply: ``c * (-s) = -(c * s)`` and
+        ``x - (-z) = x + z`` are exact, so a caller forming ``x - c f(y)`` adds
+        ``c k(y)`` instead.  That multiply aside, both kernels do the same float
+        operations in the same order, so their results agree bit for bit.
+        """
+        shift, scale = self.shift, self.scale
         *rest, last = self.coeffs or (0.0,)
-        return (*map(np.array, (self.shift, self.scale, 0.0 + last)), [np.array(c) for c in reversed(rest)])
+        # Horner from x * (0.0 + c_last) equals Horner from zeros bit for bit, -0.0 included
+        rest, last = rest[::-1], 0.0 + last
+        if shape is None:
+            if self.kind == "pendulum_sine":
+                def k(y):
+                    try:
+                        return scale * math.sin(shift + y)
+                    except ValueError:  # shift + y = +-inf, where np.sin gives NaN
+                        return math.nan
+                return k
+
+            def k(y):
+                x = shift + y
+                out = x * last
+                for c in rest:
+                    out = x * (out + c)
+                return out
+            return k
+        shift, scale, last, *rest = map(np.array, (shift, scale, last, *rest))
+        if self.kind == "pendulum_sine":
+            if abs(self.scale) == 1.0:  # sign * f(y) = sin(shift + y)
+                return (lambda y, out: np.sin(np.add(shift, y, out), out)), self.scale
+            return (lambda y, out: np.multiply(scale, np.sin(np.add(shift, y, out), out), out)), 1.0
+        x = np.empty(shape)
+
+        def k(y, out):
+            np.multiply(np.add(shift, y, x), last, out)
+            for c in rest:
+                np.multiply(x, np.add(out, c, out), out)
+            return out
+        return k, 1.0
 
     def value(self, y):
-        """f(y) elementwise, on arrays with 0-d array constants (cheaper numpy operands
-        than floats); a Python float gives a float equal bit for bit to the array result.
-        """
+        """f(y) elementwise from :meth:`kernel`; a Python float gives a float equal
+        bit for bit to the array result."""
         if isinstance(y, float):
-            x = self.shift + y
-            if self.kind == "pendulum_sine":
-                try:
-                    return self.scale * math.sin(x)
-                except ValueError:  # x = +-inf, where np.sin gives NaN
-                    return math.nan
-            out = 0.0
-            for c in reversed(self.coeffs):
-                out = x * (out + c)
-            return out
+            return self.kernel()(y)
         y = np.asarray(y, dtype=float)
-        shift, scale, last, rest = self._array_constants
-        x = shift + y
-        if self.kind == "pendulum_sine":
-            out = scale * np.sin(x)
-        else:
-            out = x * last
-            for c in rest:
-                out = x * (out + c)
+        k, sign = self.kernel(y.shape)
+        out = k(y, np.empty(y.shape))
+        if sign != 1.0:
+            np.multiply(sign, out, out)  # scale * sin(x), the multiply the kernel skipped
         return out if out.ndim else float(out)
 
     def check_stationary(self, y: float, name: str) -> None:

@@ -1,13 +1,20 @@
 """Fixed-step trajectory integration used to validate every certificate.
 
-Every simulated system has the Mathieu form y'' + a y' + c(t) g(y) = 0 with
-constant damping a, T-periodic c and an elementwise g, g(y) = y if linear.  One
+Every simulated system has the Mathieu form y'' + a y' + c(t) f(y) = 0 with
+constant damping a, T-periodic c and an elementwise f, f(y) = y if linear.  One
 classical RK4 loop integrates them all, with a fixed step tied to the period:
 certificates compare trajectories against analytic envelopes at fixed times,
 and a fixed step makes runs reproducible bit for bit.  c is sampled once on
-one period's half-step grid.  A batch steps a stacked (y, y') buffer and one
-member steps on Python floats, with the same operations per element and the
-same hold rule, so a single run equals its batch member bit for bit.
+one period's half-step grid and f resolved once into a kernel.  One member
+steps on Python floats.  A batch steps a stacked (y, y') buffer in place:
+every ufunc writes through ``out`` into stage buffers allocated once per run,
+and f's array kernel works in place; for a sine of scale -1 it skips the
+multiply and the stage adds where it would subtract, exact under
+round-to-nearest.  Both do the same operations per element and follow the
+same hold rule, so a single run equals its batch member bit for bit.  The
+batch tests the divergence cutoff once per record block on a running maximum
+of |y|, |y'|; a failed block is replayed from its start with a test after
+every step, which stays on for the rest of the run.
 """
 
 from __future__ import annotations
@@ -36,19 +43,23 @@ DIVERGENCE_CUTOFF = 1e12
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """y'' + damping y' + coef(t) g(y) = 0, with ``period``-periodic ``coef``.
+    """y'' + damping y' + coef(t) f(y) = 0, with ``period``-periodic ``coef``.
 
-    ``coef`` maps an array of times elementwise.  ``g`` maps positions
-    elementwise and takes both an array (batches) and a Python float (single
-    runs, where a float result keeps the loop on float arithmetic).
+    ``coef`` maps an array of times elementwise.  The integrator evaluates
+    ``f`` through its kernels (:meth:`Nonlinearity.kernel`).
     """
 
     damping: float
     coef: Callable
-    g: Callable
+    f: Nonlinearity
     period: float
     mu: float
     tag: str
+
+    @property
+    def g(self) -> Callable:
+        """f(y) elementwise on arrays and Python floats, as reference loops call it."""
+        return self.f.value
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,7 @@ def nonlinear_system(
     return OdeSystem(
         damping=(alpha + pert.d_alpha) * mu,
         coef=lambda t: bm2 + mu * (phi.eval(t) + pert.d_phi_eval(t)),
-        g=f.value,
+        f=f,
         period=phi.period,
         mu=mu,
         tag="nonlinear" if pert.is_zero else "perturbed_nonlinear",
@@ -101,7 +112,7 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
     c = system.coef(half_step_grid(system.period, steps_per_period)).tolist()
     c = c if len(s) == 1 else list(map(np.array, c))  # 0-d: cheaper ufunc operands
     table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
-    a, g = system.damping, system.g
+    a, g = system.damping, system.f.kernel()
     hh, h6 = 0.5 * h, h / 6.0
 
     def step(y, v, c0, cm, c1):
@@ -136,35 +147,51 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
             rec += [(y, v)] * (len(rec_idx) - len(rec))
             states, frozen = np.array(rec)[:, None, :], np.array([diverged])
         else:
+            n = len(s)
+            gk, sign = system.f.kernel((n,))
+            combine = np.add if sign < 0.0 else np.subtract  # x - c (-f) = x + c f exactly
             # stage j holds rows y_j, v_j, k_j: its state S_j = (y_j, v_j) and
-            # derivative K_j = (v_j, k_j) are views, updated by one call each
-            buf = np.empty((4, 3, len(s)))
+            # derivative K_j = (v_j, k_j) are views; S_1 = S is the run's state
+            buf = np.empty((4, 3, n))
             (y1, v1, k1), (y2, v2, k2), (y3, v3, k3), (y4, v4, k4) = buf
-            (S1, S2, S3, S4), (K1, K2, K3, K4) = buf[:, :2], buf[:, 1:]
+            (S, S2, S3, S4), (K1, K2, K3, K4) = buf[:, :2], buf[:, 1:]
+            T, Sn, A, M = np.zeros((4, 2, n))  # M: running max of |S| since the last test
+            G = np.empty(n)
             na, half, full, sixth, two = map(np.array, (-a, hh, h, h6, 2.0))
-            S, frozen = np.array([s[:, 0], s[:, 1]]), np.zeros(len(s), dtype=bool)
-            rec, latched = [S], not len(s)  # an empty batch has no maximum
-            for i in range(1, n_total + 1):
-                c0, cm, c1 = table[(i - 1) % steps_per_period]
-                # the per-element operations of step() above, in its order
-                S1[...] = S
-                np.subtract(na * v1, c0 * g(y1), k1)
-                np.add(S, half * K1, S2)
-                np.subtract(na * v2, cm * g(y2), k2)
-                np.add(S, half * K2, S3)
-                np.subtract(na * v3, cm * g(y3), k3)
-                np.add(S, full * K3, S4)
-                np.subtract(na * v4, c1 * g(y4), k4)
-                Sn = S + sixth * (K1 + two * (K2 + K3) + K4)
-                # NaN fails the test too; from the first failure on, a failed
-                # member holds its last bounded state
-                if latched or not np.abs(Sn).max() <= DIVERGENCE_CUTOFF:
-                    latched = True
+            S[...] = s.T
+            frozen = np.zeros(n, dtype=bool)
+
+            def advance(c0, cm, c1, out):
+                # the per-element operations of step() above, in its order;
+                # writes the new state into out
+                combine(np.multiply(na, v1, k1), np.multiply(c0, gk(y1, G), G), k1)
+                np.add(S, np.multiply(half, K1, T), S2)
+                combine(np.multiply(na, v2, k2), np.multiply(cm, gk(y2, G), G), k2)
+                np.add(S, np.multiply(half, K2, T), S3)
+                combine(np.multiply(na, v3, k3), np.multiply(cm, gk(y3, G), G), k3)
+                np.add(S, np.multiply(full, K3, T), S4)
+                combine(np.multiply(na, v4, k4), np.multiply(c1, gk(y4, G), G), k4)
+                np.multiply(two, np.add(K2, K3, T), T)
+                np.add(S, np.multiply(sixth, np.add(np.add(K1, T, T), K4, T), T), out)
+
+            rec, latched = [S.copy()], False
+            for start, end in zip(rec_idx, rec_idx[1:]):
+                if not latched:
+                    for i in range(start, end):
+                        advance(*table[i % steps_per_period], S)
+                        np.maximum(M, np.abs(S, A), out=M)
+                    # one test per record block; NaN fails it too
+                    if M.max(initial=0.0) <= DIVERGENCE_CUTOFF:
+                        rec.append(S.copy())
+                        continue
+                    # replay the block from its start under the per-step rule
+                    S[...], latched = rec[-1], True
+                for i in range(start, end):
+                    advance(*table[i % steps_per_period], Sn)
+                    # from the first failure on, a failed member holds its last bounded state
                     frozen |= ~(np.maximum(np.abs(Sn[0]), np.abs(Sn[1])) <= DIVERGENCE_CUTOFF)
-                    Sn = np.where(frozen, S, Sn)
-                S = Sn
-                if i % stride == 0 or i == n_total:
-                    rec.append(S)
+                    np.copyto(S, Sn, where=~frozen)
+                rec.append(S.copy())
             states = np.array(rec).transpose(0, 2, 1)  # (m, n_members, 2)
     return np.array(rec_idx, dtype=float) * h, states, frozen
 

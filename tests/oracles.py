@@ -69,8 +69,8 @@ def correction_matrices(ts: TransformedSystem, h1: np.ndarray, grid: QuadratureG
     return nodes, h2, c, corr, script_c
 
 
-def _identity(y):
-    return y
+# f(y) = -0.0 + y is y bit for bit, signed zeros included, and so is y * 1.0
+IDENTITY = Nonlinearity("polynomial", (1.0,), -0.0)
 
 
 def linear_system(lin: LinearizedSystem, mu: float, pert: Perturbation | None = None) -> OdeSystem:
@@ -80,7 +80,7 @@ def linear_system(lin: LinearizedSystem, mu: float, pert: Perturbation | None = 
     return OdeSystem(
         damping=(lin.alpha + pert.d_alpha) * mu,
         coef=lambda t: bm2 + mu * (lin.phi_hat.eval(t) + pert.d_phi_hat_eval(t)),
-        g=_identity,
+        f=IDENTITY,
         period=lin.period,
         mu=mu,
         tag="linear" if pert.is_zero else "perturbed_linear",

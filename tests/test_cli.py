@@ -269,6 +269,18 @@ class TestSimulate:
                                     env, env - (y * y + yp * yp)])
         assert_fields_equal(rows[1:], expected)
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5", "-3"])
+    def test_negative_number_as_a_separate_argument(self, value, model_file, capsys):
+        # argparse took "-1e-3" for an option: "--y0 -1e-3" exited 1 with
+        # "expected one argument" where "--y0=-1e-3" ran
+        argv = ["simulate", "--model", model_file, "--mu", "7e-8", "--y1", "0",
+                "--t-end", "6.5", "--steps", "1024", "--stride", "256"]
+        assert main([*argv, f"--y0={value}"]) == 0
+        joined = capsys.readouterr()
+        assert main([*argv, "--y0", value]) == 0
+        assert capsys.readouterr() == joined
+        assert f"y0={float(value)!r}" in joined.out
+
     def test_outside_mu_range(self, model_file, capsys):
         assert main(["simulate", "--model", model_file, "--mu", "0.02",
                      "--y0", "0.1", "--y1", "0", "--t-end", "6.5"]) == 2
@@ -576,8 +588,21 @@ def test_overflowing_propagation_is_exit_1(command, tmp_path, capsys):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("mathieu-cert: error: the propagation overflows at mu=1e-08 "
+    assert err == ("mathieu-cert: error: the propagation overflows at mu=1e-08, beta_hat=-0.25 "
                    "with 4096 steps per period\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_propagation_names_the_beta_at_fault(model_file, capsys):
+    # mu = 1e-3 propagates at beta = 0.25; the message named only mu
+    argv = ["sweep", "--model", model_file, "--mu-grid", "1e-3", "--steps", "256", "--beta-grid"]
+    assert main([*argv, "0.25"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "1e150"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("mathieu-cert: error: the propagation overflows at mu=0.001, beta_hat=-1e+150 "
+                   "with 256 steps per period\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -593,8 +618,8 @@ def test_overflowing_norm_in_the_chain_is_exit_1(command, mu, amplitude, tmp_pat
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"mathieu-cert: error: the propagation overflows at mu={float(mu)} "
-                   "with 4096 steps per period\n")
+    assert err == (f"mathieu-cert: error: the propagation overflows at mu={float(mu)}, "
+                   "beta_hat=-0.25 with 4096 steps per period\n")
 
 
 def test_radius_only_commands_match_the_full_scan(model_file, tmp_path, capsys):

@@ -336,7 +336,7 @@ class TestSpectralRadius:
         phi = PeriodicSignal(TWO_PI, ((1, 0.0, -1e20),))
         lin = LinearizedSystem(alpha=0.1, beta_hat=-0.25, phi_hat=phi, period=TWO_PI)
         tr = build_transform(lin, QuadratureGrid(TWO_PI, 2048))
-        message = "overflows at mu=1e-08 with 1024 steps per period"
+        message = "overflows at mu=1e-08, beta_hat=-0.25 with 1024 steps per period"
         with pytest.raises(ArithmeticError, match=message):
             spectral_radius_linear_system(lin, tr, 1e-8, 1024)
         with pytest.raises(ArithmeticError, match=message):

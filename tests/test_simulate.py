@@ -304,6 +304,31 @@ class TestBatchAgainstSeparateArrays:
         np.testing.assert_array_equal(frozen, [True, False])
 
     @pytest.mark.parametrize(
+        "system, inits, t_end, steps, stride",
+        [
+            # as above from 0.98e12: max(|y|, |y'|) passes 1e12 at step 2 only,
+            # inside the first record block of 4 steps, and is below it at step 4
+            (nonlinear_system(0.0, 0.0, PeriodicSignal(TWO_PI, ((64, -50.0, 0.0),)),
+                              Nonlinearity("polynomial", (1.0,)), 1.0),
+             [[0.98e12, 0.0], [0.5, 0.0]], 0.1 * TWO_PI, 256, 4),
+            # as in test_only_velocity_turns_nan, y' of the first member turns
+            # NaN at step 3, inside the first record block of 5 steps
+            (nonlinear_system(0.0, 0.0, PeriodicSignal(TWO_PI, ()),
+                              Nonlinearity("polynomial", (0.0, 1e300)), 1.0),
+             [[12000.0, 500.0 / (TWO_PI / 256)], [1.0, 0.0], [0.0, 3.0]], 0.1 * TWO_PI, 256, 5),
+            # y'' = 50 y from y = 1 passes 1e12 at step 304, in the last record
+            # block (steps 289 to 310), which is partial: 24 does not divide 310
+            (autonomous(-50.0), [[1.0, 0.0], [0.0, 0.0]], 310 * TWO_PI / 512, 512, 24),
+        ],
+        ids=["back_below_at_block_end", "nan_mid_block", "partial_last_block"],
+    )
+    def test_failure_inside_a_record_block(self, system, inits, t_end, steps, stride):
+        # the batch tests its bound once per record block and replays a failed
+        # block step by step: flags and held states stay those of the per-step rule
+        frozen = assert_batch_matches_separate_arrays(system, np.array(inits), t_end, steps, stride)
+        np.testing.assert_array_equal(frozen, [True] + [False] * (len(inits) - 1))
+
+    @pytest.mark.parametrize(
         "system, inits",
         [
             # y'' = 50 y: every member diverges, at different steps

@@ -203,7 +203,7 @@ def test_every_src_definition_is_reached():
     assert unreached == UNREACHED_ALLOWED, sorted(unreached ^ UNREACHED_ALLOWED)
 
 
-SRC_LINES_CEILING = 2234
+SRC_LINES_CEILING = 2287
 EXPORTED_NAMES_CEILING = 31
 
 
