@@ -464,9 +464,9 @@ def _dump_matrizant(model: MathieuModel, mu: float, steps: int, path: str) -> No
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-1e-3" for an option, so "--y0 -1e-3" lacked its value;
-        # no option of this parser looks like a number
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse takes "-1e-3" or "-inf" for an option, so "--y0 -1e-3" lacked its
+        # value; no option of this parser looks like a number
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
     # argparse exits with 2 on usage errors, which collides with the
     # "outside certified range" status; remap to the input-error code

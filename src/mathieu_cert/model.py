@@ -70,29 +70,26 @@ class Nonlinearity:
             raise ValueError("scale must be nonzero")
 
     def kernel(self, shape=None):
-        """f resolved once for a loop that evaluates it many times.
-
-        With no ``shape``, a function of one Python float returning f(y).  With an
-        array shape, a pair ``(k, sign)``: ``k(y, out)`` writes ``sign * f(y)`` into
-        ``out`` of that shape and returns it, with 0-d array constants (cheaper numpy
-        operands than floats) and no other allocation.  ``sign`` is -1.0 only for a
-        sine of scale -1, whose kernel skips the multiply: ``c * (-s) = -(c * s)`` and
-        ``x - (-z) = x + z`` are exact, so a caller forming ``x - c f(y)`` adds
-        ``c k(y)`` instead.  That multiply aside, both kernels do the same float
+        """f resolved once for a loop that evaluates it many times: a pair ``(k, sign)``,
+        ``k`` giving ``sign * f(y)``.  With no ``shape``, ``k`` maps a Python float to a
+        float; a sine's raises ``math.sin``'s ValueError where ``shift + y`` is +-inf (np.sin
+        gives NaN).  With an array shape, ``k(y, out)`` writes into ``out`` of that shape and
+        returns it, with 0-d array constants (cheaper numpy operands than floats) and no other
+        allocation.  ``sign`` is -1.0 only for a sine of scale -1, whose kernels skip the
+        multiply: ``(-c) * s = -(c * s)`` and ``x - (-z) = x + z`` are exact, so a caller
+        forms ``x - c f(y)`` as ``x - (sign c) k(y)``.  Both shapes do the same float
         operations in the same order, so their results agree bit for bit.
         """
         shift, scale = self.shift, self.scale
         *rest, last = self.coeffs or (0.0,)
         # Horner from x * (0.0 + c_last) equals Horner from zeros bit for bit, -0.0 included
         rest, last = rest[::-1], 0.0 + last
+        unit = self.kind == "pendulum_sine" and abs(scale) == 1.0  # sign * f(y) = sin(shift + y)
+        sign = scale if unit else 1.0
         if shape is None:
             if self.kind == "pendulum_sine":
-                def k(y):
-                    try:
-                        return scale * math.sin(shift + y)
-                    except ValueError:  # shift + y = +-inf, where np.sin gives NaN
-                        return math.nan
-                return k
+                sin = math.sin
+                return ((lambda y: sin(shift + y)) if unit else (lambda y: scale * sin(shift + y))), sign
 
             def k(y):
                 x = shift + y
@@ -100,12 +97,12 @@ class Nonlinearity:
                 for c in rest:
                     out = x * (out + c)
                 return out
-            return k
+            return k, sign
         shift, scale, last, *rest = map(np.array, (shift, scale, last, *rest))
         if self.kind == "pendulum_sine":
-            if abs(self.scale) == 1.0:  # sign * f(y) = sin(shift + y)
-                return (lambda y, out: np.sin(np.add(shift, y, out), out)), self.scale
-            return (lambda y, out: np.multiply(scale, np.sin(np.add(shift, y, out), out), out)), 1.0
+            if unit:
+                return (lambda y, out: np.sin(np.add(shift, y, out), out)), sign
+            return (lambda y, out: np.multiply(scale, np.sin(np.add(shift, y, out), out), out)), sign
         x = np.empty(shape)
 
         def k(y, out):
@@ -113,13 +110,14 @@ class Nonlinearity:
             for c in rest:
                 np.multiply(x, np.add(out, c, out), out)
             return out
-        return k, 1.0
+        return k, sign
 
     def value(self, y):
         """f(y) elementwise from :meth:`kernel`; a Python float gives a float equal
         bit for bit to the array result."""
         if isinstance(y, float):
-            return self.kernel()(y)
+            k, sign = self.kernel()  # a sine's k raises where np.sin gives NaN
+            return math.nan if self.kind == "pendulum_sine" and math.isinf(self.shift + y) else sign * k(y)
         y = np.asarray(y, dtype=float)
         k, sign = self.kernel(y.shape)
         out = k(y, np.empty(y.shape))

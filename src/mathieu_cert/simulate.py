@@ -2,24 +2,27 @@
 
 Every simulated system has the Mathieu form y'' + a y' + c(t) f(y) = 0 with
 constant damping a, T-periodic c and an elementwise f, f(y) = y if linear.  One
-classical RK4 loop integrates them all, with a fixed step tied to the period:
+classical RK4 scheme integrates them all, with a fixed step tied to the period:
 certificates compare trajectories against analytic envelopes at fixed times,
-and a fixed step makes runs reproducible bit for bit.  c is sampled once on
-one period's half-step grid and f resolved once into a kernel.  One member
-steps on Python floats.  A batch steps a stacked (y, y') buffer in place:
-every ufunc writes through ``out`` into stage buffers allocated once per run,
-and f's array kernel works in place; for a sine of scale -1 it skips the
-multiply and the stage adds where it would subtract, exact under
-round-to-nearest.  Both do the same operations per element and follow the
-same hold rule, so a single run equals its batch member bit for bit.  The
-batch tests the divergence cutoff once per record block on a running maximum
-of |y|, |y'|; a failed block is replayed from its start with a test after
-every step, which stays on for the rest of the run.
+and a fixed step makes runs reproducible bit for bit.  f is resolved once into
+a kernel k = sign f, where sign is -1 only for a sine of scale -1 (k skips the
+multiply), and c is sampled once on one period's half-step grid times sign, so
+every stage forms x - c k(y), exact under round-to-nearest.  Each record block
+draws its (c0, cm, c1) from one cycle of that table.  One member steps on
+Python floats in one inlined loop, left by exception when a step passes the
+divergence cutoff or a sine meets +-inf (whose NaN stage would fail it).  A
+batch steps a stacked (y, y') buffer in place, every ufunc writing through
+``out`` into stage buffers allocated once per run, and tests the cutoff once
+per record block on a running maximum of |y|, |y'|; a failed block is replayed
+from its start with a test after every step, which stays on for the rest of
+the run.  Both do the same operations per element and follow the same hold
+rule, so a single run equals its batch member bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Callable
 
 import numpy as np
@@ -107,49 +110,43 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
     if not np.all(np.abs(s) <= DIVERGENCE_CUTOFF):  # NaN fails too
         raise ValueError(f"initial states must be finite and within the divergence cutoff "
                          f"{DIVERGENCE_CUTOFF:g}, got {s.tolist()}")
-    # c(t) at the start, midpoint and end of each step of one period; step i
-    # starts at (i-1) h, which c sees as the step (i-1) % steps_per_period
-    c = system.coef(half_step_grid(system.period, steps_per_period)).tolist()
+    a, (g, sign) = system.damping, system.f.kernel(None if len(s) == 1 else (len(s),))
+    # c(t) at the start, midpoint and end of each step of one period, times g's
+    # sign; step i starts at (i-1) h, which c sees as step (i-1) % steps_per_period
+    c = (sign * system.coef(half_step_grid(system.period, steps_per_period))).tolist()
     c = c if len(s) == 1 else list(map(np.array, c))  # 0-d: cheaper ufunc operands
-    table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
-    a, g = system.damping, system.f.kernel()
+    steps = cycle(zip(c[0:-1:2], c[1::2], c[2::2]))
     hh, h6 = 0.5 * h, h / 6.0
-
-    def step(y, v, c0, cm, c1):
-        k1 = -a * v - c0 * g(y)
-        y2, v2 = y + hh * v, v + hh * k1
-        k2 = -a * v2 - cm * g(y2)
-        y3, v3 = y + hh * v2, v + hh * k2
-        k3 = -a * v3 - cm * g(y3)
-        y4, v4 = y + h * v3, v + h * k3
-        k4 = -a * v4 - c1 * g(y4)
-        return y + h6 * (v + 2.0 * (v2 + v3) + v4), v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-
-    rec_idx = list(range(0, n_total + 1, stride))
-    if rec_idx[-1] != n_total:
-        rec_idx.append(n_total)
+    rec_idx = [*range(0, n_total, stride), n_total]
     with np.errstate(over="ignore", invalid="ignore"):
         if len(s) == 1:
             # one member steps on Python floats: on 1-element arrays numpy's
             # per-call overhead costs more than the arithmetic itself
             y, v = s[0].tolist()
-            rec, diverged = [(y, v)], False
-            for i in range(1, n_total + 1):
-                yn, vn = step(y, v, *table[(i - 1) % steps_per_period])
-                # NaN and inf fail the comparison too, as in the batch loop
-                if not (abs(yn) <= DIVERGENCE_CUTOFF and abs(vn) <= DIVERGENCE_CUTOFF):
-                    diverged = True
-                    break
-                y, v = yn, vn
-                if i % stride == 0 or i == n_total:
+            rec, diverged, na, cut = [(y, v)], False, -a, DIVERGENCE_CUTOFF
+            try:
+                for start, end in zip(rec_idx, rec_idx[1:]):
+                    for c0, cm, c1 in islice(steps, end - start):
+                        k1 = na * v - c0 * g(y)
+                        y2, v2 = y + hh * v, v + hh * k1
+                        k2 = na * v2 - cm * g(y2)
+                        y3, v3 = y + hh * v2, v + hh * k2
+                        k3 = na * v3 - cm * g(y3)
+                        y4, v4 = y + h * v3, v + h * k3
+                        k4 = na * v4 - c1 * g(y4)
+                        yn, vn = y + h6 * (v + 2.0 * (v2 + v3) + v4), v + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                        # NaN and inf fail the comparison too, as in the batch loop
+                        if not (-cut <= yn <= cut and -cut <= vn <= cut):
+                            raise ValueError
+                        y, v = yn, vn
                     rec.append((y, v))
+            except ValueError:  # past the cutoff, or sin(+-inf), whose NaN stage would fail it
+                diverged = True
             # a failed run holds its last bounded state to the end
             rec += [(y, v)] * (len(rec_idx) - len(rec))
             states, frozen = np.array(rec)[:, None, :], np.array([diverged])
         else:
             n = len(s)
-            gk, sign = system.f.kernel((n,))
-            combine = np.add if sign < 0.0 else np.subtract  # x - c (-f) = x + c f exactly
             # stage j holds rows y_j, v_j, k_j: its state S_j = (y_j, v_j) and
             # derivative K_j = (v_j, k_j) are views; S_1 = S is the run's state
             buf = np.empty((4, 3, n))
@@ -162,23 +159,23 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
             frozen = np.zeros(n, dtype=bool)
 
             def advance(c0, cm, c1, out):
-                # the per-element operations of step() above, in its order;
-                # writes the new state into out
-                combine(np.multiply(na, v1, k1), np.multiply(c0, gk(y1, G), G), k1)
+                # the per-element operations of the float loop, in its order, into out
+                np.subtract(np.multiply(na, v1, k1), np.multiply(c0, g(y1, G), G), k1)
                 np.add(S, np.multiply(half, K1, T), S2)
-                combine(np.multiply(na, v2, k2), np.multiply(cm, gk(y2, G), G), k2)
+                np.subtract(np.multiply(na, v2, k2), np.multiply(cm, g(y2, G), G), k2)
                 np.add(S, np.multiply(half, K2, T), S3)
-                combine(np.multiply(na, v3, k3), np.multiply(cm, gk(y3, G), G), k3)
+                np.subtract(np.multiply(na, v3, k3), np.multiply(cm, g(y3, G), G), k3)
                 np.add(S, np.multiply(full, K3, T), S4)
-                combine(np.multiply(na, v4, k4), np.multiply(c1, gk(y4, G), G), k4)
+                np.subtract(np.multiply(na, v4, k4), np.multiply(c1, g(y4, G), G), k4)
                 np.multiply(two, np.add(K2, K3, T), T)
                 np.add(S, np.multiply(sixth, np.add(np.add(K1, T, T), K4, T), T), out)
 
             rec, latched = [S.copy()], False
             for start, end in zip(rec_idx, rec_idx[1:]):
+                block = list(islice(steps, end - start))
                 if not latched:
-                    for i in range(start, end):
-                        advance(*table[i % steps_per_period], S)
+                    for cs in block:
+                        advance(*cs, S)
                         np.maximum(M, np.abs(S, A), out=M)
                     # one test per record block; NaN fails it too
                     if M.max(initial=0.0) <= DIVERGENCE_CUTOFF:
@@ -186,8 +183,8 @@ def _run(system: OdeSystem, init: np.ndarray, t_end: float, steps_per_period: in
                         continue
                     # replay the block from its start under the per-step rule
                     S[...], latched = rec[-1], True
-                for i in range(start, end):
-                    advance(*table[i % steps_per_period], Sn)
+                for cs in block:
+                    advance(*cs, Sn)
                     # from the first failure on, a failed member holds its last bounded state
                     frozen |= ~(np.maximum(np.abs(Sn[0]), np.abs(Sn[1])) <= DIVERGENCE_CUTOFF)
                     np.copyto(S, Sn, where=~frozen)

@@ -281,6 +281,18 @@ class TestSimulate:
         assert capsys.readouterr() == joined
         assert f"y0={float(value)!r}" in joined.out
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NaN", "-INF"])
+    def test_negative_non_finite_as_a_separate_argument(self, value, model_file, capsys):
+        # "--y0 -inf" exited 1 with argparse's "expected one argument", which
+        # names no value, where "--y0=-inf" reached the simulator's refusal
+        argv = ["simulate", "--model", model_file, "--mu", "7e-8", "--y1", "0",
+                "--t-end", "6.5", "--steps", "1024", "--stride", "256"]
+        assert main([*argv, f"--y0={value}"]) == 1
+        joined = capsys.readouterr()
+        assert main([*argv, "--y0", value]) == 1
+        assert capsys.readouterr() == joined
+        assert "initial states must be finite" in joined.err
+
     def test_outside_mu_range(self, model_file, capsys):
         assert main(["simulate", "--model", model_file, "--mu", "0.02",
                      "--y0", "0.1", "--y1", "0", "--t-end", "6.5"]) == 2

@@ -225,16 +225,19 @@ T_END = _flag_value(st.floats(1e-6, 3.0 * TWO_PI).map(repr), st.sampled_from(["0
 STRIDE = _flag_value(st.sampled_from(["1", "7", "16", "100000"]), st.sampled_from(["0", "-3", "2.5"]))
 
 
-@given(STATE, STATE, T_END, STRIDE)
+@given(STATE, STATE, T_END, STRIDE, st.lists(st.booleans(), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_simulate_flags_are_refused_by_name_or_run_finitely(tmp_path, y0, y1, t_end, stride):
+def test_simulate_flags_are_refused_by_name_or_run_finitely(tmp_path, y0, y1, t_end, stride, apart):
     (tmp_path / "model.json").write_text(json.dumps(PEND))
     flags = {"--y0": y0, "--y1": y1, "--t-end": t_end, "--stride": stride}
     out = tmp_path / "out.csv"
     argv = ["simulate", "--model", str(tmp_path / "model.json"), "--mu", "7e-8", "--steps", "256",
             "--out", str(out)]
-    code, err = _run(argv + [f"{flag}={value}" for flag, (value, _) in flags.items()])
+    # a float flag's value is drawn as "--flag value" as well as "--flag=value"
+    for (flag, (value, _)), sep in zip(flags.items(), [*apart, False]):
+        argv += [flag, value] if sep else [f"{flag}={value}"]
+    code, err = _run(argv)
     event(f"simulate exit {code}")
     # the simulator's refusals name its parameters, argparse's the flags
     names = {"--y0": "initial state", "--y1": "initial state", "--t-end": "t_end", "--stride": "stride"}

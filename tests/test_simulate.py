@@ -213,12 +213,16 @@ def assert_same_bits(got, want):
 
 
 def assert_batch_matches_separate_arrays(system, inits, t_end, steps, stride):
-    """integrate_batch equals the separate-array loop bit for bit; returns the flags."""
+    """integrate_batch, and the float loop of each member run alone (untruncated,
+    as a batch of one), equal the separate-array loop bit for bit; returns the flags."""
     trajs = integrate_batch(system, inits, t_end, steps, record_stride=stride)
     times, states, frozen = batch_rk4_separate_arrays(system, inits, t_end, steps, stride)
     for i, traj in enumerate(trajs):
-        assert_same_bits(traj.times, times)
-        assert_same_bits(traj.states, states[:, i])
+        (single,) = integrate_batch(system, inits[i:i + 1], t_end, steps, record_stride=stride)
+        for run in (traj, single):
+            assert_same_bits(run.times, times)
+            assert_same_bits(run.states, states[:, i])
+            assert run.diverged == frozen[i]
     assert_same_bits([traj.diverged for traj in trajs], frozen)
     return frozen
 
@@ -360,6 +364,8 @@ class TestBatchAgainstSeparateArrays:
     @given(
         width=st.integers(2, 70),
         sine=st.booleans(),
+        # the sign fold covers a sine of scale -1 only; 1 skips the multiply too
+        sine_scale=st.sampled_from([-1.0, 1.0, None]),
         coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
         shift=st.floats(-4.0, 4.0),
         alpha=st.floats(0.0, 1.0),
@@ -367,9 +373,9 @@ class TestBatchAgainstSeparateArrays:
         scale=st.sampled_from([1.0, 1e3, 1e6]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_batches(self, width, sine, coeffs, shift, alpha, mu, scale, seed):
+    def test_random_batches(self, width, sine, sine_scale, coeffs, shift, alpha, mu, scale, seed):
         if sine:
-            f = Nonlinearity("pendulum_sine", (), shift, coeffs[0] or 1.0)
+            f = Nonlinearity("pendulum_sine", (), shift, sine_scale or coeffs[0] or 1.0)
         else:
             f = Nonlinearity("polynomial", tuple(coeffs), shift)
         phi = PeriodicSignal(TWO_PI, ((1, coeffs[-1], 0.5), (2, 0.0, -0.3)))
