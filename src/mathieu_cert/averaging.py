@@ -78,22 +78,21 @@ def build_transform(lin: LinearizedSystem, grid: QuadratureGrid) -> AveragingTra
 
     Mean subtraction replaces the integration-offset choice: the zero-mean
     antiderivative coincides with integrating from the (existence-only)
-    offsets that make the averages vanish.
+    offsets that make the averages vanish.  ``grid`` is unused; ``perfbench``
+    passes it (ROADMAP items 1 and 10).
     """
-    if grid.period != lin.period:
-        raise ValueError("grid period must match the system period")
     b = zero_mean_antiderivative(lin.phi_hat).scaled(-1.0)
     a = zero_mean_antiderivative(b)
     return AveragingTransform(a=a, b=b, phi_hat=lin.phi_hat)
 
 
-def mean_phi_a(lin: LinearizedSystem, tr: AveragingTransform) -> float:
+def mean_phi_a(tr: AveragingTransform) -> float:
     """(1/T) int_0^T phi_hat a = mean(b^2), by parts since phi_hat = -b' and a' = b."""
     return tr.b.mean_square
 
 
 def build_u1(lin: LinearizedSystem, tr: AveragingTransform) -> np.ndarray:
-    m = mean_phi_a(lin, tr)
+    m = mean_phi_a(tr)
     if not np.isfinite(lin.beta_hat + m):
         raise ArithmeticError(f"averaged constants overflow: mean(phi_hat a) = {m} in U1")
     return np.array([[0.0, 1.0], [-lin.beta_hat - m, -lin.alpha]])
@@ -128,8 +127,8 @@ def bogolyubov_condition(lin: LinearizedSystem, grid: QuadratureGrid) -> Bogolyu
     Closed forms, with B the zero-mean antiderivative of phi_hat and b0 = B(0):
     lhs = mean(B^2) + b0^2, and by parts (1/T) int_0^T tau phi_hat = b0, so
     rhs = b0^2 - beta_hat.  holds is beta_hat + mean(B^2) > 0, which is
-    det U1 > 0 exactly as ``u1_is_hurwitz`` computes it.  ``grid`` is unused
-    and kept for existing callers.
+    det U1 > 0 exactly as ``u1_is_hurwitz`` computes it.  ``grid`` is unused;
+    ``perfbench`` passes it (ROADMAP items 1 and 10).
     """
     B = zero_mean_antiderivative(lin.phi_hat)
     b0 = B.eval(0.0)
@@ -185,7 +184,7 @@ def build_u2_u3(lin: LinearizedSystem, tr: AveragingTransform, mu: float) -> Tra
         raise ValueError(f"transform degenerates: 1 + mu*a(t) <= 0 at mu={mu}")
     return TransformedSystem(
         u1=build_u1(lin, tr),
-        mean_phi_a=mean_phi_a(lin, tr),
+        mean_phi_a=mean_phi_a(tr),
         mu=mu,
         lin=lin,
         tr=tr,

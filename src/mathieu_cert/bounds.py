@@ -59,13 +59,12 @@ def compute_bound_chain(
     tr: AveragingTransform,
     u1: np.ndarray,
     h1: np.ndarray,
-    mu_cap: float = 1.0,
 ) -> BoundChain:
     """Evaluate the full constant chain down to mu0.
 
     With identically zero forcing the formula for mu_bar degenerates to
-    +inf; it is then capped at ``mu_cap`` (the scaling analysis behind the
-    chain presumes a genuine oscillatory forcing).
+    +inf, capped at 1: the chain presumes an oscillatory forcing.  ``tr``
+    is unused; ``perfbench`` passes it (ROADMAP items 1 and 10).
     """
     T = lin.period
     phi_max = sup_norm(lin.phi_hat)
@@ -74,7 +73,7 @@ def compute_bound_chain(
     a_const = max(lin.alpha, abs(lin.beta_hat))
     a_signed = max(lin.alpha, lin.beta_hat)
     capped = phi_max == 0.0
-    mu_bar = mu_cap if capped else 1.0 / (phi_max * T * T)
+    mu_bar = 1.0 if capped else 1.0 / (phi_max * T * T)
 
     with np.errstate(over="ignore"):  # inf norms give L1 = inf and mu0 = 0, the conservative answer
         norm_u1, norm_h1 = spectral_norm_2x2(u1), spectral_norm_2x2(h1)

@@ -56,7 +56,7 @@ from .model import (
     system_matrix,
     system_matrix_entries,
 )
-from .periodic_signal import QuadratureGrid
+from .periodic_signal import QuadratureGrid, refuse_unknown_keys
 from .robustness import (
     AttractionCertificate,
     Perturbation,
@@ -209,16 +209,17 @@ def _load_json(path: str) -> dict:
     return data
 
 
-_PENDULUM_KEYS = {"length_l", "gravity_g", "friction_lambda", "amplitude_a", "frequency_omega"}
+_PENDULUM_KEYS = ("amplitude_a", "frequency_omega", "friction_lambda", "gravity_g", "length_l")
 
 
 def load_model(path: str) -> tuple[MathieuModel, float | None]:
-    """Load a model file; pendulum physical-parameter files also fix mu = a/l."""
+    """Load a model file; a file with any pendulum key holds pendulum parameters, which fix mu = a/l."""
     data = _load_json(path)
-    if _PENDULUM_KEYS.issubset(data.keys()):
+    if data.keys() & _PENDULUM_KEYS:
+        refuse_unknown_keys(data, _PENDULUM_KEYS, "the pendulum parameters")
         try:
-            params = PendulumParams(**{k: float(data[k]) for k in sorted(_PENDULUM_KEYS)})
-        except TypeError as exc:  # the key check above rules out KeyError
+            params = PendulumParams(**{k: float(data[k]) for k in _PENDULUM_KEYS})
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pendulum parameters: {exc}") from exc
         return pendulum_reduce(params)
     return model_from_dict(data), None
@@ -229,8 +230,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return {math.inf: "inf", -math.inf: "-inf"}.get(obj, "nan")
     return obj

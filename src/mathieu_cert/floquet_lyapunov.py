@@ -51,7 +51,6 @@ __all__ = [
     "PeriodicLyapunovSolution",
     "UnstableSystemError",
     "matrizant",
-    "spectral_radius_from_deviation",
     "deviation_matrizant",
     "solve_constant_lyapunov",
     "solve_periodic_lyapunov_scaled",
@@ -85,20 +84,18 @@ def spectral_norm_2x2(m):
     return out if out.ndim else float(out)
 
 
-def sym_eig_bounds(h11, h12, h22, det=None):
+def sym_eig_bounds(h11, h12, h22, det):
     """(lambda_min, lambda_max) of a symmetric 2x2, vectorized.
 
     The eigenvalue of larger modulus is (tr +- root)/2 with the sign of the
     trace, so that it does not cancel, from the discriminant
     root^2 = (h11-h22)^2 + 4 h12^2; the other one is recovered from the
-    determinant, which the caller may supply from a better-conditioned
+    determinant ``det``, which the caller supplies from a better-conditioned
     source than the entry products.
     """
     h11 = np.asarray(h11, dtype=float)
     h12 = np.asarray(h12, dtype=float)
     h22 = np.asarray(h22, dtype=float)
-    if det is None:
-        det = h11 * h22 - h12 * h12
     tr = h11 + h22
     root = np.hypot(h11 - h22, 2.0 * h12)
     pos = tr >= 0.0
@@ -229,16 +226,6 @@ def _floquet_gap(Z: np.ndarray, log_det: float) -> float:
     l_big = 0.5 * (tr + math.copysign(math.sqrt(disc), tr))
     l_small = (z11 * z22 - z12 * z21) / l_big if l_big != 0.0 else 0.0
     return min(-l if l >= -1.0 else 2.0 + l for l in (math.ldexp(l_big, -e), math.ldexp(l_small, -e)))
-
-
-def spectral_radius_from_deviation(Z: np.ndarray, log_det: float) -> float:
-    """Spectral radius of M = I + Z, computed from Z and log det M.
-
-    ``log_det`` is the Liouville value int_0^T tr A(t) dt of the system
-    whose monodromy matrix is M.  Within ~1e-16 of the unit circle the
-    radius rounds to 1.0; the solvers test the unrounded 1 - rho instead.
-    """
-    return 1.0 - _floquet_gap(Z, log_det)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +459,11 @@ def _z_generator(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_ste
     return w
 
 
-def _z_deviation(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None, **kw):
+def _z_deviation(lin: LinearizedSystem, tr: AveragingTransform, mu: float, n_steps: int, pert=None, final_only=False):
     """``deviation_matrizant`` of :func:`_z_generator`, refused by ArithmeticError where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        times, Z = deviation_matrizant(_z_generator(lin, tr, mu, n_steps, pert), lin.period, n_steps, **kw)
+        W = _z_generator(lin, tr, mu, n_steps, pert)
+        times, Z = deviation_matrizant(W, lin.period, n_steps, final_only=final_only)
     if not np.all(np.isfinite(Z[-1])):
         raise ArithmeticError(f"the propagation overflows at mu={mu}, beta_hat={lin.beta_hat} "
                               f"with {n_steps} steps per period")
@@ -524,7 +512,7 @@ def spectral_radius_linear_system(
     """
     _, Z = _z_deviation(lin, tr, mu, n_steps, pert, final_only=True)
     da = 0.0 if pert is None else pert.d_alpha
-    return spectral_radius_from_deviation(Z[-1], -(lin.alpha + da) * mu * lin.period)
+    return 1.0 - _floquet_gap(Z[-1], -(lin.alpha + da) * mu * lin.period)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +522,10 @@ def spectral_radius_linear_system(
 def bvp_residual(sol: PeriodicLyapunovSolution, A) -> float:
     """Scaled sup-norm residual of H' + HA + A^T H + I at interior nodes.
 
-    ``A`` is a callable of the vectorized contract of
-    :func:`deviation_matrizant`, sampled once at the nodes, or those node
-    values themselves, shape (n_steps + 1, 2, 2).  H' is formed by central
-    differences; each node residual is divided by 1 + ||H|| so the figure
-    stays meaningful when the solution itself is large (small-mu regime).
+    ``A`` holds the values of A(t) at the solution's nodes, shape
+    (n_steps + 1, 2, 2).  H' is formed by central differences; each node
+    residual is divided by 1 + ||H|| so the figure stays meaningful when
+    the solution itself is large (small-mu regime).
 
     With S = HA the residual is H' + S + S^T + I, formed on the entries of
     H and A and so symmetric by construction.  Its norm is the Gram form of
@@ -546,8 +533,6 @@ def bvp_residual(sol: PeriodicLyapunovSolution, A) -> float:
     the smaller eigenvalue from the determinant, as :func:`sym_eig_bounds`
     does, can cancel.
     """
-    if callable(A):
-        A = np.broadcast_to(np.asarray(A(sol.times), dtype=float), sol.H.shape)
     a11, a12, a21, a22 = A[1:-1, 0, 0], A[1:-1, 0, 1], A[1:-1, 1, 0], A[1:-1, 1, 1]
     h11, h12, h22 = sol.H[:, 0, 0], sol.H[:, 0, 1], sol.H[:, 1, 1]
     d11, d12, d22 = ((h[2:] - h[:-2]) / (2.0 * sol.step) for h in (h11, h12, h22))

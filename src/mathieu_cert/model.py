@@ -368,6 +368,8 @@ def model_to_dict(m: MathieuModel) -> dict:
 
 def model_from_dict(d: dict) -> MathieuModel:
     try:
+        refuse_unknown_keys(d, ("alpha", "beta", "phi", "f", "gamma"), "the model")
+        refuse_unknown_keys(d["phi"], ("period", "harmonics"), "phi")
         fdict = d["f"]
         refuse_unknown_keys(fdict, ("kind", "coeffs", "shift", "scale"), "f")
         f = Nonlinearity(**fdict)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .floquet_lyapunov import PeriodicLyapunovSolution
 from .model import MathieuModel
-from .periodic_signal import PeriodicSignal, QuadratureGrid, signal_from_dict, sup_norm
+from .periodic_signal import PeriodicSignal, QuadratureGrid, refuse_unknown_keys, signal_from_dict, sup_norm
 
 __all__ = [
     "Perturbation",
@@ -71,8 +71,8 @@ class Perturbation:
             raise ValueError("scaling must be f'(gamma) < 0")
 
     @classmethod
-    def zero(cls, scaling: float = -1.0) -> "Perturbation":
-        return cls(0.0, 0.0, None, 0.0, scaling)
+    def zero(cls) -> "Perturbation":
+        return cls(0.0, 0.0)
 
     @classmethod
     def resolve(cls, pert: "Perturbation | None", period: float) -> "Perturbation":
@@ -185,7 +185,7 @@ def q_of_mu(
 ) -> float:
     """Nonlinearity strength  q(mu) = sup_t (|beta+d_beta| mu^2 + |phi+d_phi| mu) p.
 
-    The supremum is exact; ``grid`` is unused and kept for existing callers.
+    The supremum is exact.  ``grid`` is unused; ``perfbench`` passes it (ROADMAP items 1 and 10).
     """
     if p < 0.0:
         raise ValueError("p must be >= 0")
@@ -349,19 +349,15 @@ def sample_attraction_boundary(
     sol: PeriodicLyapunovSolution,
     cert: AttractionCertificate,
     n: int,
-    scale: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """n initial vectors with <H(0) v, v> = scale^2 * lyapunov_radius_sq.
+    """n initial vectors with <H(0) v, v> = lyapunov_radius_sq.
 
     Directions w are drawn uniformly in the solution's well-conditioned
     coordinates (z = (y, y'/mu - b y) on the certificate path), scaled
-    onto the requested level set, mapped to v = T(0) w and, if a Euclidean
-    cap is present, shrunk to respect it.  scale < 1 samples strictly
-    inside the region.
+    onto the level set, mapped to v = T(0) w and, if a Euclidean cap is
+    present, shrunk to respect it; s v for 0 < s < 1 lies inside the region.
     """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must be in (0, 1]")
     if not math.isfinite(cert.lyapunov_radius_sq):
         raise ValueError("unbounded attraction region cannot be sampled on its boundary")
     rng = rng or np.random.default_rng(0)
@@ -369,7 +365,7 @@ def sample_attraction_boundary(
     w0, w1 = np.cos(thetas), np.sin(thetas)
     # nudged inside by 1e-12 so the coordinate roundtrip in the membership
     # predicate cannot push a boundary sample out by rounding
-    target = scale * scale * cert.lyapunov_radius_sq * (1.0 - 1e-12)
+    target = cert.lyapunov_radius_sq * (1.0 - 1e-12)
     hz = sol.H_z[0]
     r = np.sqrt(target / (hz[0, 0] * w0 ** 2 + 2.0 * hz[0, 1] * w0 * w1 + hz[1, 1] * w1 ** 2))
     w0, w1 = w0 * r, w1 * r
@@ -382,10 +378,12 @@ def sample_attraction_boundary(
 
 def perturbation_from_dict(d: dict, model: MathieuModel) -> Perturbation:
     try:
+        refuse_unknown_keys(d, ("d_alpha", "d_beta", "d_phi"), "the perturbation")
         dphi = d.get("d_phi")
         sig = None
         offset = 0.0
         if dphi is not None:
+            refuse_unknown_keys(dphi, ("offset", "period", "harmonics"), "d_phi")
             offset = float(dphi.get("offset", 0.0))
             if dphi.get("harmonics"):
                 period = dphi.get("period") or model.period
@@ -397,5 +395,5 @@ def perturbation_from_dict(d: dict, model: MathieuModel) -> Perturbation:
             d_phi=sig,
             d_phi_offset=offset,
         ).on_period(model.period)
-    except (TypeError, AttributeError) as exc:  # a null field, or a non-object d_phi
+    except TypeError as exc:  # a null field, or a d_phi that is no object
         raise ValueError(f"malformed perturbation description: {exc}") from exc

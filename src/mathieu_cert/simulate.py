@@ -59,11 +59,6 @@ class OdeSystem:
     mu: float
     tag: str
 
-    @property
-    def g(self) -> Callable:
-        """f(y) elementwise on arrays and Python floats, as reference loops call it."""
-        return self.f.value
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -106,7 +106,7 @@ def s_matrix(tr: AveragingTransform, mu: float, t) -> np.ndarray:
     return matrices_2x2(1.0 + mu * tr.a.eval(t), 0.0, mu * tr.b.eval(t), mu)
 
 
-def boundary_samples_per_row(sol, cert, n, scale=1.0, rng=None):
+def boundary_samples_per_row(sol, cert, n, rng=None):
     """``sample_attraction_boundary`` one sample at a time, on numpy scalars.
 
     The row-by-row form the vectorized sampler replaced, with its Euclid cap
@@ -118,7 +118,7 @@ def boundary_samples_per_row(sol, cert, n, scale=1.0, rng=None):
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=n)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     out = np.empty((n, 2))
-    target = scale * scale * cert.lyapunov_radius_sq * (1.0 - 1e-12)
+    target = cert.lyapunov_radius_sq * (1.0 - 1e-12)
     hz = sol.H_z[0]
     for i, w in enumerate(dirs):
         quad = hz[0, 0] * w[0] ** 2 + 2.0 * hz[0, 1] * w[0] * w[1] + hz[1, 1] * w[1] ** 2
@@ -158,9 +158,7 @@ def batch_rk4_separate_arrays(system, inits, t_end, steps_per_period, stride):
     n_total = max(1, int(round(t_end / h)))
     c = system.coef(np.arange(2 * steps_per_period + 1) * (0.5 * h)).tolist()
     table = list(zip(c[0:-1:2], c[1::2], c[2::2]))
-    a, g = system.damping, system.g
-    if isinstance(getattr(g, "__self__", None), Nonlinearity):
-        g = partial(nonlinearity_value_from_zeros, g.__self__)
+    a, g = system.damping, partial(nonlinearity_value_from_zeros, system.f)
     hh, h6 = 0.5 * h, h / 6.0
 
     def step(y, v, c0, cm, c1):

@@ -6,10 +6,10 @@ import pytest
 from mathieu_cert.averaging import build_transform, build_u1, build_u2_u3
 from mathieu_cert.bounds import compute_bound_chain
 from mathieu_cert.floquet_lyapunov import (
+    _floquet_gap,
     deviation_matrizant,
     solve_constant_lyapunov,
     spectral_norm_2x2,
-    spectral_radius_from_deviation,
     spectral_radius_linear_system,
 )
 from mathieu_cert.model import LinearizedSystem, system_matrix_entries
@@ -22,12 +22,12 @@ SIN = PeriodicSignal(TWO_PI, ((1, 0.0, 1.0),))
 GRID = QuadratureGrid(TWO_PI, 2048)
 
 
-def chain_for(beta_hat=-0.25, alpha=0.1, phi_hat=SIN, mu_cap=1.0):
+def chain_for(beta_hat=-0.25, alpha=0.1, phi_hat=SIN):
     lin = LinearizedSystem(alpha=alpha, beta_hat=beta_hat, phi_hat=phi_hat, period=TWO_PI)
     tr = build_transform(lin, GRID)
     u1 = build_u1(lin, tr)
     h1 = solve_constant_lyapunov(u1)
-    return lin, tr, u1, h1, compute_bound_chain(lin, tr, u1, h1, mu_cap=mu_cap)
+    return lin, tr, u1, h1, compute_bound_chain(lin, tr, u1, h1)
 
 
 def l1_reference(norm_h1, norm_u1, t, a, phi_max):
@@ -95,15 +95,13 @@ class TestBoundChain:
         ch = compute_bound_chain(lin, tr, u1, h1)
         assert ch.mu_bar == 1.0 and ch.mu_bar_capped
         assert ch.L2 == 0.0 and ch.mu0 == ch.mu1
-        ch2 = compute_bound_chain(lin, tr, u1, h1, mu_cap=0.25)
-        assert ch2.mu_bar == 0.25
 
     def test_certified_range_is_stable(self, lin, transform, chain):
         # the whole certified interval must pass the monodromy test
         for mu in np.geomspace(chain.mu0 / 100.0, chain.mu0, 4):
             assert spectral_radius_linear_system(lin, transform, float(mu)) < 1.0
         _, z = deviation_matrizant(system_matrix_entries(lin, chain.mu0), TWO_PI, 4096)
-        assert spectral_radius_from_deviation(z[-1], -lin.alpha * chain.mu0 * TWO_PI) < 1.0
+        assert 1.0 - _floquet_gap(z[-1], -lin.alpha * chain.mu0 * TWO_PI) < 1.0
 
 
 class TestCorrectionMatrices:

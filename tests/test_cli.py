@@ -11,10 +11,10 @@ from mathieu_cert import cli, floquet_lyapunov
 from mathieu_cert.cli import build_certificate, main, parse_grid_spec
 from mathieu_cert.averaging import build_transform
 from mathieu_cert.floquet_lyapunov import (
+    _floquet_gap,
     _z_generator,
     deviation_matrizant,
     matrizant,
-    spectral_radius_from_deviation,
 )
 from mathieu_cert.model import linearize, model_from_dict, shift_to_zero, system_matrix_entries
 from mathieu_cert.periodic_signal import QuadratureGrid
@@ -642,7 +642,7 @@ def test_radius_only_commands_match_the_full_scan(model_file, tmp_path, capsys):
 
     def scan_radius(mu, steps):
         _, Z = deviation_matrizant(_z_generator(lin, tr, mu, steps), lin.period, steps)
-        return spectral_radius_from_deviation(Z[-1], -lin.alpha * mu * lin.period)
+        return 1.0 - _floquet_gap(Z[-1], -lin.alpha * mu * lin.period)
 
     assert main(["sweep", "--model", model_file, "--mu-grid", "log:1e-8:1e-1:8",
                  "--beta-grid", "0.25", "--steps", "1000"]) == 0
@@ -734,6 +734,82 @@ def test_foreign_period_perturbation_is_exit_1(command, model_file, tmp_path, ca
         argv += ["--y0", "0", "--y1", "0", "--t-end", "1"]
     err = _refusal(argv, capsys)
     assert err == "mathieu-cert: error: d_phi period must match the system period\n"
+
+
+@pytest.mark.parametrize(
+    "pert, message",
+    [({"d_alfa": 1e-3}, "unknown key 'd_alfa' in the perturbation (expected d_alpha, d_beta, d_phi)"),
+     ({"d_phi": {"ofset": 1e-3}}, "unknown key 'ofset' in d_phi (expected offset, period, harmonics)"),
+     ({"d_phi": [1e-3]}, "malformed perturbation description: d_phi must be a JSON object")],
+    ids=["top", "d_phi", "d_phi-list"],
+)
+def test_unknown_perturbation_key_is_exit_1(pert, message, model_file, tmp_path, capsys):
+    # {"d_alfa": 1e-3} exited 0 as an admissible zero perturbation, and a
+    # d_phi list failed with "'list' object has no attribute 'get'"
+    path = tmp_path / "pert.json"
+    path.write_text(json.dumps(pert))
+    err = _refusal(["certify", "--model", model_file, "--mu", "7e-8", "--pert", str(path)], capsys)
+    assert err == f"mathieu-cert: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [({**PEND, "gama": 0.0}, "unknown key 'gama' in the model (expected alpha, beta, phi, f, gamma)"),
+     ({**PEND, "phi": {**PEND["phi"], "Period": 1.0}}, "unknown key 'Period' in phi (expected period, harmonics)"),
+     ({**PHYS, "mu": 0.5}, "unknown key 'mu' in the pendulum parameters (expected amplitude_a, "
+                           "frequency_omega, friction_lambda, gravity_g, length_l)"),
+     ({k.replace("omega", "omga"): v for k, v in PHYS.items()},
+      "unknown key 'frequency_omga' in the pendulum parameters (expected amplitude_a, "
+      "frequency_omega, friction_lambda, gravity_g, length_l)")],
+    ids=["model", "phi", "pendulum", "pendulum-typo"],
+)
+def test_unknown_model_key_is_exit_1(data, message, tmp_path, capsys):
+    # each of these keys was ignored, and the misspelt pendulum key made the
+    # file a model file without "f"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    err = _refusal(["certify", "--model", str(path), "--mu", "7e-8"], capsys)
+    assert err == f"mathieu-cert: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [([PEND], "{path}: expected a JSON object at top level"),
+     ({**PEND, "f": {"kind": "cubic"}}, "unknown nonlinearity kind 'cubic'"),
+     ({**PEND, "f": {"kind": "polynomial", "coeffs": []}, "gamma": 0.0},
+      "polynomial nonlinearity needs at least one coefficient"),
+     ({**PEND, "f": {"kind": "pendulum_sine", "scale": 0.0}}, "scale must be nonzero"),
+     ({**PEND, "f": "pendulum_sine"}, "malformed model description: f must be a JSON object"),
+     ({**PEND, "phi": {"period": TWO_PI, "harmonics": [[1, 0.0, -1.0]]}},
+      "malformed signal description: a harmonic entry must be a JSON object"),
+     ({k: v for k, v in PHYS.items() if k != "length_l"}, "malformed pendulum parameters: 'length_l'")],
+    ids=["array", "cubic", "no-coeffs", "zero-scale", "f-string", "harmonic-list", "pendulum-short"],
+)
+def test_malformed_model_file_is_exit_1(data, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    err = _refusal(["certify", "--model", str(path), "--mu", "7e-8"], capsys)
+    assert err == f"mathieu-cert: error: {message.format(path=path)}\n"
+
+
+def test_model_file_without_mu_is_exit_1(model_file, capsys):
+    err = _refusal(["certify", "--model", model_file], capsys)
+    assert err == "mathieu-cert: error: --mu is required for model files (pendulum files derive it)\n"
+
+
+def test_zero_leading_coefficient_is_dropped(tmp_path, capsys):
+    # shift_to_zero drops the zero top coefficient; the certificate is that
+    # of the quadratic but for the echo of the file
+    payloads = []
+    for coeffs in ([-1.0, 0.3, 0.0], [-1.0, 0.3]):
+        path = write_model(tmp_path, f={"kind": "polynomial", "coeffs": coeffs}, gamma=0.0)
+        assert main(["certify", "--model", path, "--mu", "7e-8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["model"]["f"].pop("coeffs") == coeffs
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    model = model_from_dict({**PEND, "f": {"kind": "polynomial", "coeffs": [-1.0, 0.3, 0.0]}, "gamma": 0.0})
+    assert shift_to_zero(model).coeffs == (-1.0, 0.3)
 
 
 def test_grid_moves_no_certificate_value(tmp_path, capsys):

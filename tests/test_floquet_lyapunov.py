@@ -21,7 +21,6 @@ from mathieu_cert.floquet_lyapunov import (
     solve_constant_lyapunov,
     solve_periodic_lyapunov_scaled,
     spectral_norm_2x2,
-    spectral_radius_from_deviation,
     spectral_radius_linear_system,
     sym_eig_bounds,
 )
@@ -68,7 +67,7 @@ def radius(m):
     pair, where det M > 0."""
     det = np.linalg.det(m)
     log_det = math.log(det) if det > 0.0 else -math.inf
-    return spectral_radius_from_deviation(np.asarray(m) - np.eye(2), log_det)
+    return 1.0 - _floquet_gap(np.asarray(m) - np.eye(2), log_det)
 
 
 def sequential_rk4_deviation(W, T, n):
@@ -241,7 +240,7 @@ class TestMatrizant:
 class TestSpectralRadius:
     def test_identity(self):
         _, z = deviation_matrizant(lambda t: np.zeros((2, 2)), 1.0, 64)
-        assert spectral_radius_from_deviation(z[-1], 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - _floquet_gap(z[-1], 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
         assert radius(np.diag([math.exp(-1.0), math.exp(-2.0)])) == pytest.approx(
@@ -291,7 +290,7 @@ class TestSpectralRadius:
         for scale in (1e-3, 1e-8, 1e-12):
             z = scale * rng.normal(size=(2, 2))
             expect = float(np.max(np.abs(np.linalg.eigvals(np.eye(2) + z))))
-            got = spectral_radius_from_deviation(z, liouville_log_det(z))
+            got = 1.0 - _floquet_gap(z, liouville_log_det(z))
             # eigvals of I+z loses precision below ~1e-8; ours should agree
             # at the resolution eigvals still has
             assert got == pytest.approx(expect, abs=1e-8)
@@ -409,7 +408,7 @@ class TestSymEigBounds:
         # the eigenvalue of larger modulus is negative here; recovering the
         # negative one from the determinant lost 3e-5 of it
         ref = np.linalg.eigvalsh(np.array([[h11, h12], [h12, h22]]))
-        np.testing.assert_allclose(sym_eig_bounds(h11, h12, h22), ref, rtol=1e-12)
+        np.testing.assert_allclose(sym_eig_bounds(h11, h12, h22, h11 * h22 - h12 * h12), ref, rtol=1e-12)
 
     def test_caller_determinant_is_used(self):
         assert sym_eig_bounds(-1.0, 0.0, 1e-12, det=-2e-12) == (-1.0, 2e-12)
@@ -543,7 +542,7 @@ class TestPeriodicLyapunov:
         assert np.max(np.abs(sol.H - 0.5 * np.eye(2))) < 1e-8
         assert sol.h_min == pytest.approx(0.5, abs=1e-8)
         assert sol.h_max == pytest.approx(0.5, abs=1e-8)
-        assert bvp_residual(sol, lambda t: -np.eye(2)) < 1e-6
+        assert bvp_residual(sol, np.broadcast_to(-np.eye(2), sol.H.shape)) < 1e-6
         assert np.max(np.abs(sol.H[0] - sol.H[-1])) < 1e-8
 
     def test_unstable_rejected(self):
@@ -561,7 +560,7 @@ class TestPeriodicLyapunov:
         ent = system_matrix_entries(lin, mu)
         sol = solve_periodic_lyapunov(ent, TWO_PI, 4096, mu=mu)
         assert sol.spectral_radius < 1.0
-        assert bvp_residual(sol, ent) < 1e-6
+        assert bvp_residual(sol, ent(sol.times)) < 1e-6
         scaled_gap = np.max(np.abs(sol.H[0] - sol.H[-1])) / (1.0 + sol.h_max)
         assert scaled_gap < 1e-8
         assert sol.h_min > 0.0
@@ -618,7 +617,7 @@ class TestPeriodicLyapunov:
             [0.1 * np.sin(t), 1.0 + 0.2 * np.cos(3.0 * t)],
             [-(1.0 + 0.5 * np.cos(t)), -0.2 + 0.1 * np.sin(2.0 * t)],
         ]), -1, 0)
-        hmin, hnorm = sym_eig_bounds(h11, h12, h22)
+        hmin, hnorm = sym_eig_bounds(h11, h12, h22, h11 * h22 - h12 * h12)
         sol = PeriodicLyapunovSolution(
             times=t, H=H, mu=math.nan, h_min=float(np.min(hmin)), h_max=float(np.max(hnorm)),
             hmin_nodes=hmin, hnorm_nodes=hnorm, spectral_radius=math.nan,
@@ -665,7 +664,7 @@ class TestPeriodicLyapunov:
         assert sol.h_min > 0.0 and sol.h_max > sol.h_min
         assert np.all(sol.hmin_nodes > 0.0)
         ent = system_matrix_entries(lin, sol.mu)
-        assert bvp_residual(sol, ent) < 1e-6
+        assert bvp_residual(sol, ent(sol.times)) < 1e-6
         scaled_gap = np.max(np.abs(sol.H[0] - sol.H[-1])) / (1.0 + sol.h_max)
         assert scaled_gap < 1e-8
 

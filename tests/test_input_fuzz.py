@@ -3,7 +3,7 @@ of the grid flags of ``sweep`` and the state, horizon and stride flags of
 ``simulate``.
 
 Each drawn file may carry faults the reader must refuse by name: a field its
-``f`` kind ignores, an unknown key in ``f`` or in a harmonic entry, a ``gamma``
+``f`` kind ignores, an unknown key in any object of the file, a ``gamma``
 off its stationary point or with f'(gamma) >= 0, and a ``d_phi`` of another
 period.  Amplitudes lie in [1e-3, 1e3]; overflow has its own tests.  A faulty
 flag value must be refused by the flag's name.  Grids hold at most 8 values
@@ -47,6 +47,15 @@ def _harmonics(draw, faults):
     return entries
 
 
+def _unknown_keys(draw, objects, faults):
+    """Add, rarely, an unknown key to each of ``objects``."""
+    for obj in objects:
+        if draw(RARE):
+            key = draw(st.sampled_from(UNKNOWN_KEYS))
+            obj[key] = 1.0
+            faults.add(f"unknown key {key!r}")
+
+
 @st.composite
 def model_files(draw):
     """(model dict, faults that must refuse it, names a refusal may give)."""
@@ -72,10 +81,7 @@ def model_files(draw):
             if f["scale"] != 1.0:
                 faults.add("f.scale")
         stationary, slope, size = -shift, f["coeffs"][0], abs(f["coeffs"][0])  # |f(gamma)|
-    if draw(RARE):
-        key = draw(st.sampled_from(UNKNOWN_KEYS))
-        f[key] = 1.0
-        faults.add(f"unknown key {key!r}")
+    _unknown_keys(draw, (f,), faults)
     offset = draw(OFFSET)
     # shift + gamma rounds by up to an ulp of |shift| + 3 pi
     residual_lo, residual_hi = size * max(offset - 1e-14, 0.0), size * (offset + 1e-14)
@@ -92,6 +98,7 @@ def model_files(draw):
         "f": f,
         "gamma": stationary + offset,
     }
+    _unknown_keys(draw, (model, model["phi"]), faults)
     return model, faults, faults | possible
 
 
@@ -105,7 +112,9 @@ def perturbation_files(draw):
     d_phi = {"period": period, "offset": 1e-30, "harmonics": draw(_harmonics(faults))}
     for h in d_phi["harmonics"]:  # a small perturbation keeps the budgets in reach
         h.update({key: 1e-30 * v for key, v in h.items() if key in ("cos", "sin")})
-    return {"d_alpha": 1e-30, "d_beta": 0.0, "d_phi": d_phi}, faults
+    pert = {"d_alpha": 1e-30, "d_beta": 0.0, "d_phi": d_phi}
+    _unknown_keys(draw, (pert, d_phi), faults)
+    return pert, faults
 
 
 def _run(argv):

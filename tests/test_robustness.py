@@ -412,9 +412,7 @@ class TestOnCertifiedPendulum:
             val = sol.value_at_node(0, v)
             assert val == pytest.approx(cert.lyapunov_radius_sq, rel=1e-9)
             assert math.hypot(*v) <= cert.euclid_radius
-        inside = sample_attraction_boundary(
-            sol, cert, 4, scale=0.5, rng=np.random.default_rng(3)
-        )
+        inside = 0.5 * sample_attraction_boundary(sol, cert, 4, rng=np.random.default_rng(3))
         for v in inside:
             assert sol.value_at_node(0, v) == pytest.approx(
                 0.25 * cert.lyapunov_radius_sq, rel=1e-9
